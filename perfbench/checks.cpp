@@ -162,19 +162,4 @@ std::vector<bool> corpus_agrees(
   return ok;
 }
 
-std::vector<PointRecord> records_of(const spmwcet::api::EvalResult& r) {
-  std::vector<PointRecord> out;
-  for (const auto& er : r.results)
-    for (const auto* series : {&er.spm, &er.cache})
-      for (const SweepPoint& p : *series) {
-        PointRecord rec;
-        rec.workload = er.workload->name;
-        rec.setup = series == &er.spm ? MemSetup::Scratchpad : MemSetup::Cache;
-        rec.size = p.size_bytes;
-        rec.point = p;
-        out.push_back(std::move(rec));
-      }
-  return out;
-}
-
 } // namespace perfbench

@@ -77,8 +77,4 @@ std::vector<bool> corpus_agrees(
     const std::vector<std::vector<SweepPoint>>& per_member,
     std::vector<std::string>* why = nullptr);
 
-/// Flattens an evaluation result into records, workload by workload,
-/// scratchpad sizes first.
-std::vector<PointRecord> records_of(const spmwcet::api::EvalResult& r);
-
 } // namespace perfbench

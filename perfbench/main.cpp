@@ -1,6 +1,6 @@
 // perfbench: the benchmark of record.
 //
-//   perfbench --workload paper-eval|corpus-spm|serve-points --seed N
+//   perfbench --workload corpus-spm|serve-points --seed N
 //             --seconds S --trace 0|1 [--cli PATH] [--workdir DIR]
 //
 // Prints, as its last stdout line, one JSON object with the keys

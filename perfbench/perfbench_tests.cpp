@@ -1,10 +1,11 @@
 // Tests of the benchmark's own code: the order statistics, the percentile
 // rule, every correctness check on hand-made failing points, span self
-// times and the serve stream's repeat structure.
+// times, the serve stream's repeat structure and the server log's summary.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <set>
+#include <sstream>
 
 #include "checks.h"
 #include "serve_client.h"
@@ -248,6 +249,19 @@ TEST(ServeStream, FreshRequestsCycleThePoolAndRepeatsAreRecent) {
   ServeStream a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
   EXPECT_EQ(a.pool().front().workload, b.pool().front().workload);
+}
+
+TEST(ServeSummary, ReadsRequestsAndResponseCacheHits) {
+  std::istringstream log(
+      "serve: listening on unix socket x.sock\n"
+      "serve: 2920 requests (2920 ok, 0 errors), 730 response-cache hits, "
+      "1018/1101 profile-artifact hits\n");
+  const auto s = read_serve_summary(log);
+  ASSERT_TRUE(s.has_value());
+  EXPECT_EQ(s->requests, 2920);
+  EXPECT_EQ(s->response_hits, 730);
+  std::istringstream none("serve: listening on unix socket x.sock\n");
+  EXPECT_FALSE(read_serve_summary(none).has_value());
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Builds and runs the benchmark of record.
 
-    python3 perfbench/run.py --workload paper-eval|corpus-spm|serve-points \
+    python3 perfbench/run.py --workload corpus-spm|serve-points \
         --seed N --seconds S --trace 0|1
     python3 perfbench/run.py --selftest
 
@@ -62,7 +62,7 @@ def run(cmd):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=["paper-eval", "corpus-spm", "serve-points"])
+    ap.add_argument("--workload", choices=["corpus-spm", "serve-points"])
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)

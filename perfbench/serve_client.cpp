@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <thread>
 
 #include "api/request.h"
@@ -101,6 +102,17 @@ double ServerProcess::stop() {
   }
   pid_ = -1;
   return rss;
+}
+
+std::optional<ServeSummary> read_serve_summary(std::istream& log) {
+  // "serve: N requests (N ok, 0 errors), H response-cache hits, ..."
+  const std::regex line_re(R"(serve: (\d+) requests .*, (\d+) response-cache hits)");
+  std::string line;
+  std::smatch m;
+  while (std::getline(log, line))
+    if (std::regex_search(line, m, line_re))
+      return ServeSummary{std::stoll(m[1]), std::stoll(m[2])};
+  return std::nullopt;
 }
 
 Client::Client(const std::string& socket_path)

@@ -6,6 +6,8 @@
 #include <sys/types.h>
 
 #include <cstdint>
+#include <istream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,15 @@ private:
 /// Peak resident set of a live process ("self" or a pid) in MiB, from
 /// /proc/<pid>/status VmHWM.
 double peak_rss_mb(const std::string& pid);
+
+/// What a stopped server logs about its session.
+struct ServeSummary {
+  int64_t requests = 0;
+  int64_t response_hits = 0;
+};
+
+/// The summary line of a server log, or nullopt when it holds none.
+std::optional<ServeSummary> read_serve_summary(std::istream& log);
 
 /// One connection, one request in flight at a time.
 class Client {
@@ -67,7 +78,9 @@ struct StreamKey {
 /// of a request among the last kRepeatWindow fresh ones. The pool holds
 /// more keys than the server's response cache (1024), so a fresh request
 /// always misses it and is computed on warm artifacts, while a repeat
-/// always hits it: the repeat share is exactly one in four.
+/// always hits it: the repeat share is exactly one in four. The mix is
+/// chosen, not taken from recorded traffic, and every run checks the
+/// server's hit count against it.
 class ServeStream {
 public:
   static constexpr uint32_t kPoolMembers = 40;

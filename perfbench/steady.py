@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Steadiness check for the benchmark of record.
 
-    python3 perfbench/steady.py [--runs 10] [--sets 2] [--seconds S]
-                                [--workload NAME ...] [--json OUT]
+    python3 perfbench/steady.py [--runs 10] [--seconds S] [--workload NAME ...]
 
-Runs every workload --runs times per set, in --sets separate sets, each
-run with its own seed, through perfbench/run.py. For every end-to-end
-metric it prints each set's median and quartiles (Python's
-statistics.quantiles, n=4), the spread (q3 - q1) / median, how far the
-later sets' medians moved from the first set's, and each against the
-metric's bound in BENCHMARK.json. It also prints each set's failed share.
-The bounds in BENCHMARK.json are set from this script's output.
+Runs every workload --runs times in each of two separate sets, each run
+with its own seed, through perfbench/run.py. For every end-to-end metric
+it prints each set's median and quartiles (Python's statistics.quantiles,
+n=4), the spread (q3 - q1) / median, how far the second set's median
+moved from the first's, and each against the metric's bound in
+BENCHMARK.json. It also prints each set's failed share. The bounds in
+BENCHMARK.json are set from this script's output.
 """
 
 import argparse
@@ -21,6 +20,7 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SETS = 2
 
 
 def run_once(workload, seed, seconds):
@@ -35,8 +35,7 @@ def run_once(workload, seed, seconds):
 
 def summary(values):
     q1, med, q3 = statistics.quantiles(values, n=4)
-    return {"median": med, "q1": q1, "q3": q3, "spread": (q3 - q1) / med,
-            "values": values}
+    return {"median": med, "q1": q1, "q3": q3, "spread": (q3 - q1) / med}
 
 
 def main():
@@ -45,23 +44,18 @@ def main():
     bounds = {m["name"]: m for m in bench["end_to_end"]}
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--sets", type=int, default=2)
     ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
     ap.add_argument("--workload", action="append",
                     help="workload to run (default: all in BENCHMARK.json)")
-    ap.add_argument("--json", help="write every run's figures here")
     a = ap.parse_args()
     workloads = a.workload or [w["name"] for w in bench["workloads"]]
 
-    report = {}
     for wl in workloads:
         sets = []
-        for s in range(a.sets):
+        for s in range(SETS):
             seeds = range(1 + s * a.runs, 1 + (s + 1) * a.runs)
-            runs = [run_once(wl, seed, a.seconds) for seed in seeds]
-            sets.append(runs)
-        report[wl] = {}
-        print("== %s: %d sets x %d runs of %d s" % (wl, a.sets, a.runs, a.seconds))
+            sets.append([run_once(wl, seed, a.seconds) for seed in seeds])
+        print("== %s: %d sets x %d runs of %d s" % (wl, SETS, a.runs, a.seconds))
         for s, runs in enumerate(sets):
             att = sum(r["attempted"] for r in runs)
             fail = sum(r["failed"] for r in runs)
@@ -70,7 +64,6 @@ def main():
         for name in bounds:
             per_set = [summary([r["metrics"][name]["value"] for r in runs])
                        for runs in sets]
-            report[wl][name] = per_set
             bound = bounds[name]["bound"]
             lower = bounds[name]["better"] == "lower"
             for s, st in enumerate(per_set):
@@ -81,9 +74,6 @@ def main():
                       % (name, s + 1, st["median"], st["q1"], st["q3"],
                          100 * st["spread"], 100 * bound, st["spread"] / bound,
                          100 * moved, "  WORSE THAN BOUND" if worse > bound else ""))
-    if a.json:
-        with open(a.json, "w") as f:
-            json.dump(report, f, indent=1)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,14 @@
-// The benchmark's three workloads, each in an untraced mode (end-to-end
+// The benchmark's two workloads, each in an untraced mode (end-to-end
 // metrics) and a traced mode (per-layer metrics from the layer replay).
 //
-//  paper-eval    the paper's full evaluation (`sweep all`): G.721, ADPCM,
-//                MultiSort x {scratchpad, direct-mapped unified cache} x
-//                64 B..8 KiB = 48 points per pass, one worker, a fresh
-//                Engine per pass.
 //  corpus-spm    one `corpus` request over kCorpusCount gen:mixed members
 //                (a fixed seed range), scratchpad, eight sizes, two
 //                workers, a fresh Engine per pass.
 //  serve-points  one closed-loop client sending single `point` requests
 //                to a resident `spmwcet_cli serve --socket` process
-//                (see ServeStream).
+//                (see ServeStream). Its pool holds the paper's G.721,
+//                ADPCM and MultiSort under both setups, on which the
+//                paper's claim is checked.
 #pragma once
 
 #include <cstdint>
