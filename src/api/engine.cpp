@@ -570,6 +570,7 @@ EngineStats Engine::stats() const {
   s.shape_artifacts = artifacts_.shape_stats();
   s.view_artifacts = artifacts_.view_stats();
   s.ipet_artifacts = artifacts_.ipet_stats();
+  s.placed_artifacts = artifacts_.placed_stats();
   return s;
 }
 

@@ -183,6 +183,7 @@ struct EngineStats {
   support::MemoStats shape_artifacts;   ///< invariant analyzer skeletons
   support::MemoStats view_artifacts;    ///< bound analyzer front ends
   support::MemoStats ipet_artifacts;    ///< per-workload IPET skeleton stores
+  support::MemoStats placed_artifacts;  ///< per-(workload, assignment) results
 };
 
 class Engine {

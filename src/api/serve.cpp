@@ -139,7 +139,9 @@ void log_serve_summary(const Engine& engine, const ServeStats& stats,
       << stats.errors << " errors), " << es.response_hits
       << " response-cache hits, " << es.profile_artifacts.hits << "/"
       << es.profile_artifacts.hits + es.profile_artifacts.misses
-      << " profile-artifact hits\n";
+      << " profile-artifact hits, " << es.placed_artifacts.hits << "/"
+      << es.placed_artifacts.hits + es.placed_artifacts.misses
+      << " placed-result hits\n";
 }
 
 int run_serve_bench(const EngineOptions& opts, uint32_t repeat,

@@ -564,6 +564,8 @@ std::string encode_health(int64_t id, const ServeStats& serve,
   e.set("response_evictions", json::Value(engine.response_evictions));
   e.set("admission_waits", json::Value(engine.admission_waits));
   e.set("shed", json::Value(engine.shed));
+  e.set("placed_hits", json::Value(engine.placed_artifacts.hits));
+  e.set("placed_misses", json::Value(engine.placed_artifacts.misses));
 
   json::Value r = json::Value::object();
   r.set("healthy", json::Value(true)); // answering at all is the liveness bit

@@ -15,6 +15,12 @@
 // across the points of a batch computes each of these once per workload and
 // hands the immutable results to every point.
 //
+// The scratchpad branch's placed result is keyed one level finer, by
+// (workload, SpmAssignment): the linker reads the scratchpad size only for
+// its capacity check, so every size whose allocation picks the same objects
+// links the same image and yields the same ACET, WCET and energy. Once the
+// allocation saturates, larger sizes are served that stored result.
+//
 // Thread safety comes from support::Memoizer: concurrent points that need
 // the same artifact block until the first computation finishes and the
 // compute function runs exactly once (a throwing compute is retried by the
@@ -24,8 +30,10 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 
 #include "link/image.h"
+#include "link/layout.h"
 #include "program/decoded_image.h"
 #include "sim/block_table.h"
 #include "sim/profile.h"
@@ -36,6 +44,14 @@
 
 namespace spmwcet::harness {
 
+/// What a scratchpad point derives from its placed image. Small on purpose:
+/// the memo keeps these records, not the images they came from.
+struct PlacedResult {
+  uint64_t sim_cycles = 0;
+  uint64_t wcet_cycles = 0;
+  double energy_nj = 0.0;
+};
+
 class ArtifactCache {
 public:
   using ProfileFn = std::function<sim::AccessProfile()>;
@@ -44,6 +60,7 @@ public:
   using BlocksFn = std::function<sim::BlockTable()>;
   using ShapeFn = std::function<wcet::ProgramShape()>;
   using ViewFn = std::function<wcet::ProgramView()>;
+  using PlacedFn = std::function<PlacedResult()>;
   using Stats = support::MemoStats;
 
   /// Returns the workload's no-assignment access profile, computing it with
@@ -72,8 +89,9 @@ public:
   /// Returns the compiled superblock table of the workload's canonical
   /// no-assignment image — shared by the batch's profiling simulations
   /// (the block tier compiles per image, and the profiling run is always
-  /// against the no-assignment layout). Placed SPM images differ per size
-  /// and compile their own tables inside the simulator.
+  /// against the no-assignment layout). A placed SPM image compiles its own
+  /// table inside the simulator, once per distinct assignment (see
+  /// placed()).
   std::shared_ptr<const sim::BlockTable>
   blocks(const workloads::WorkloadInfo& wl, const BlocksFn& compute) {
     return blocks_.get(&wl, compute);
@@ -107,6 +125,16 @@ public:
     return ipet_.get(&wl, [] { return wcet::IpetCache(); });
   }
 
+  /// Returns the result of linking, simulating and analyzing the workload
+  /// under `assignment`, computing it with `compute` the first time that
+  /// assignment is seen. The key is exact: the placed image depends only on
+  /// the module and the assignment, not on the scratchpad size.
+  std::shared_ptr<const PlacedResult>
+  placed(const workloads::WorkloadInfo& wl,
+         const link::SpmAssignment& assignment, const PlacedFn& compute) {
+    return placed_.get({&wl, assignment}, compute);
+  }
+
   /// hits = served from cache, misses = ran the profiling simulation.
   Stats stats() const { return profiles_.stats(); }
 
@@ -128,6 +156,9 @@ public:
   /// hits = reused an existing IPET skeleton store.
   Stats ipet_stats() const { return ipet_.stats(); }
 
+  /// hits = reused a placed result, misses = linked, simulated, analyzed.
+  Stats placed_stats() const { return placed_.stats(); }
+
   void clear() {
     profiles_.clear();
     images_.clear();
@@ -136,6 +167,7 @@ public:
     shapes_.clear();
     views_.clear();
     ipet_.clear();
+    placed_.clear();
   }
 
 private:
@@ -149,6 +181,10 @@ private:
       shapes_;
   support::Memoizer<const workloads::WorkloadInfo*, wcet::ProgramView> views_;
   support::Memoizer<const workloads::WorkloadInfo*, wcet::IpetCache> ipet_;
+  support::Memoizer<std::pair<const workloads::WorkloadInfo*,
+                              link::SpmAssignment>,
+                    PlacedResult>
+      placed_;
 };
 
 } // namespace spmwcet::harness

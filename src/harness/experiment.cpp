@@ -129,6 +129,45 @@ double estimate_energy(const link::Image& img, const sim::SimResult& run,
   return nj;
 }
 
+/// Links `assignment`, simulates the placed image (validating its outputs)
+/// and analyzes it. The image is decoded once, feeding both the simulator's
+/// code table and the analyzer; the analyzer re-binds the workload's cached
+/// layout-invariant shape instead of re-discovering program structure.
+PlacedResult run_placed(const workloads::WorkloadInfo& wl,
+                        const link::LinkOptions& opts,
+                        const link::SpmAssignment& assignment,
+                        const std::string& what, const SweepConfig& cfg) {
+  const link::Image img = link::link_program(wl.module, opts, assignment);
+  sim::SimConfig scfg;
+  scfg.collect_profile = true;
+  // Each distinct placement links its own image, so the simulator compiles
+  // its own block table (no cross-point artifact to share).
+  scfg.block_tier = cfg.block_tier;
+  std::optional<program::DecodedImage> dec;
+  if (cfg.fast_wcet) {
+    dec.emplace(img);
+    scfg.predecoded = &*dec;
+  }
+  sim::Simulator s(img, scfg);
+  const sim::SimResult run = s.run();
+  validate_outputs(wl, s, what);
+  cfg.deadline.check("simulate");
+  wcet::WcetReport report;
+  if (cfg.fast_wcet) {
+    wcet::AnalyzerConfig acfg;
+    acfg.incremental = cfg.incremental_wcet;
+    const auto ipet = ipet_cache_for(wl, cfg);
+    acfg.ipet_cache = ipet.get();
+    report = wcet::analyze_wcet(
+        wcet::bind_view(shape_for(wl, cfg, img, *dec), img, *dec), acfg);
+  } else {
+    wcet::AnalyzerConfig acfg;
+    acfg.fast_path = false;
+    report = wcet::analyze_wcet(img, acfg);
+  }
+  return {run.cycles, report.wcet, estimate_energy(img, run, /*cached=*/false)};
+}
+
 SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
                          const SweepConfig& cfg) {
   link::LinkOptions opts;
@@ -196,45 +235,33 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   cfg.deadline.check("allocate");
 
   // 2. Relink with the chosen placement; simulate and analyze. The placed
-  //    image is decoded once, feeding both the simulator's code table and
-  //    the analyzer; the analyzer re-binds the workload's cached
-  //    layout-invariant shape instead of re-discovering program structure.
-  const link::Image img = link::link_program(wl.module, opts, assignment);
-  sim::SimConfig scfg;
-  scfg.collect_profile = true;
-  // Placed images differ per size, so the simulator compiles its own block
-  // table (no cross-point artifact to share).
-  scfg.block_tier = cfg.block_tier;
-  std::optional<program::DecodedImage> dec;
-  if (cfg.fast_wcet) {
-    dec.emplace(img);
-    scfg.predecoded = &*dec;
-  }
-  sim::Simulator s(img, scfg);
-  const sim::SimResult run = s.run();
-  validate_outputs(wl, s, "spm/" + std::to_string(size));
-  cfg.deadline.check("simulate");
-  wcet::WcetReport report;
-  if (cfg.fast_wcet) {
-    wcet::AnalyzerConfig acfg;
-    acfg.incremental = cfg.incremental_wcet;
-    const auto ipet = ipet_cache_for(wl, cfg);
-    acfg.ipet_cache = ipet.get();
-    report = wcet::analyze_wcet(
-        wcet::bind_view(shape_for(wl, cfg, img, *dec), img, *dec), acfg);
+  //    image depends only on (module, assignment) — the linker reads the
+  //    size for its capacity check alone, which an assignment chosen for
+  //    this size always passes — so on the production path every size
+  //    whose allocation repeats an earlier assignment is served that
+  //    point's result. A hit skips output validation too: its image is
+  //    byte-identical to the one already validated. Every other path
+  //    computes each point end to end and stays the byte-diff oracle.
+  const auto compute = [&] {
+    return run_placed(wl, opts, assignment, "spm/" + std::to_string(size),
+                      cfg);
+  };
+  PlacedResult placed;
+  if (cached(cfg) && cfg.fast_wcet && cfg.block_tier && cfg.incremental_wcet) {
+    placed = *cfg.artifacts->placed(wl, assignment, compute);
+    cfg.deadline.check("simulate"); // a hit skips the compute's own check
   } else {
-    wcet::AnalyzerConfig acfg;
-    acfg.fast_path = false;
-    report = wcet::analyze_wcet(img, acfg);
+    placed = compute();
   }
 
   SweepPoint pt;
   pt.size_bytes = size;
-  pt.sim_cycles = run.cycles;
-  pt.wcet_cycles = report.wcet;
-  pt.ratio = static_cast<double>(report.wcet) / static_cast<double>(run.cycles);
+  pt.sim_cycles = placed.sim_cycles;
+  pt.wcet_cycles = placed.wcet_cycles;
+  pt.ratio = static_cast<double>(placed.wcet_cycles) /
+             static_cast<double>(placed.sim_cycles);
   pt.spm_used_bytes = used;
-  pt.energy_nj = estimate_energy(img, run, /*cached=*/false);
+  pt.energy_nj = placed.energy_nj;
   return pt;
 }
 

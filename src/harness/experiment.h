@@ -43,9 +43,11 @@ struct SweepConfig {
   /// Points are independent pipeline runs; ordering stays deterministic.
   unsigned jobs = 1;
   /// Reuse size-independent artifacts (the no-assignment access profile)
-  /// across the points of a batch. false selects the seed pipeline that
-  /// re-derives everything per point; the parity tests pin both paths to
-  /// byte-identical results.
+  /// across the points of a batch; with fast_wcet, block_tier and
+  /// incremental_wcet also on, each scratchpad placement's ACET, WCET and
+  /// energy are computed once for every size that picks it. false selects
+  /// the seed pipeline that re-derives everything per point; the parity
+  /// tests pin both paths to byte-identical results.
   bool use_artifact_cache = true;
   /// IR-based WCET analyzer (shared predecode, layout-invariant shape
   /// reuse, flat cache analysis). false selects the seed analyzer — the

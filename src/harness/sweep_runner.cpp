@@ -40,17 +40,26 @@ SweepRunner::run_matrix(const std::vector<MatrixRequest>& requests) const {
   // the borrowed WorkloadInfo objects.
   ArtifactCache artifacts;
 
-  std::vector<SweepJob> batch;
+  std::vector<SweepJob> slots;
   for (const MatrixRequest& req : requests) {
     if (req.workload == nullptr) throw Error("sweep: request has no workload");
-    std::vector<SweepJob> jobs_for = make_sweep_jobs(*req.workload, req.config);
-    for (SweepJob& job : jobs_for)
+    for (SweepJob& job : make_sweep_jobs(*req.workload, req.config)) {
       if (job.config.use_artifact_cache && job.config.artifacts == nullptr)
         job.config.artifacts = &artifacts;
-    batch.insert(batch.end(), jobs_for.begin(), jobs_for.end());
+      slots.push_back(std::move(job));
+    }
   }
 
-  const std::vector<SweepOutcome> outcomes = run(batch);
+  // Results and the reported error follow slot order; the workers claim
+  // the slots size-major (see detail::claim_order).
+  const std::vector<std::size_t> order = detail::claim_order(requests);
+  std::vector<SweepJob> batch;
+  batch.reserve(order.size());
+  for (const std::size_t slot : order) batch.push_back(std::move(slots[slot]));
+  std::vector<SweepOutcome> claimed = run(batch);
+  std::vector<SweepOutcome> outcomes(order.size());
+  for (std::size_t k = 0; k < order.size(); ++k)
+    outcomes[order[k]] = std::move(claimed[k]);
   for (const SweepOutcome& o : outcomes)
     if (!o.ok()) {
       if (o.deadline_exceeded)
@@ -84,6 +93,26 @@ SweepRunner& shared_runner(unsigned jobs) {
   if (!slot) slot = std::make_unique<SweepRunner>(SweepRunnerOptions{width});
   return *slot;
 }
+
+namespace detail {
+
+std::vector<std::size_t>
+claim_order(const std::vector<MatrixRequest>& requests) {
+  std::vector<std::size_t> first;
+  std::size_t slots = 0;
+  for (const MatrixRequest& req : requests) {
+    first.push_back(slots);
+    slots += req.config.sizes.size();
+  }
+  std::vector<std::size_t> order;
+  order.reserve(slots);
+  for (std::size_t s = 0; order.size() < slots; ++s)
+    for (std::size_t r = 0; r < requests.size(); ++r)
+      if (s < requests[r].config.sizes.size()) order.push_back(first[r] + s);
+  return order;
+}
+
+} // namespace detail
 
 std::vector<SweepJob> make_sweep_jobs(const workloads::WorkloadInfo& wl,
                                       const SweepConfig& cfg) {

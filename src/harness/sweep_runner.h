@@ -70,9 +70,10 @@ public:
   /// batch over the pool, so e.g. a benchmark's scratchpad and cache sweeps
   /// fill the same set of workers instead of running back to back. A
   /// batch-scoped ArtifactCache is injected into every job that has
-  /// use_artifact_cache set and no cache of its own. Result i corresponds to
-  /// requests[i], points in cfg.sizes order; throws the first failing point
-  /// in batch order.
+  /// use_artifact_cache set and no cache of its own. Workers claim the
+  /// points size-major (every request at sizes[0] first), but result i
+  /// corresponds to requests[i], points in cfg.sizes order, and a failure
+  /// throws the first failing point in that (request, size) order.
   std::vector<std::vector<SweepPoint>>
   run_matrix(const std::vector<MatrixRequest>& requests) const;
 
@@ -87,6 +88,17 @@ private:
 /// embedded in a long-running loop pay pool spin-up once instead of per
 /// batch. The free run_sweep/run_matrix helpers route through this.
 SweepRunner& shared_runner(unsigned jobs);
+
+namespace detail {
+/// The order in which run_matrix's workers claim its points, as slot
+/// indices. Slots are request-major (point s of request r follows every
+/// point of requests 0..r-1); claims are size-major — every request at
+/// sizes[0], then every request at sizes[1], and so on — so concurrent
+/// workers start on different workloads instead of blocking on a sibling
+/// size's in-flight per-workload artifact.
+std::vector<std::size_t>
+claim_order(const std::vector<MatrixRequest>& requests);
+} // namespace detail
 
 /// Expands cfg.sizes into a batch for one workload.
 std::vector<SweepJob> make_sweep_jobs(const workloads::WorkloadInfo& wl,

@@ -31,9 +31,14 @@ struct LinkOptions {
 };
 
 /// Which memory objects live on the scratchpad.
+/// Ordered so it can key a map: the placed image is a function of the
+/// module and this assignment alone.
 struct SpmAssignment {
   std::set<std::string> functions;
   std::set<std::string> globals;
+
+  auto operator<=>(const SpmAssignment&) const = default;
+  bool operator==(const SpmAssignment&) const = default;
 };
 
 /// Exact post-layout sizes of every allocatable memory object (function

@@ -33,12 +33,19 @@ public:
   bool optimize() {
     // Reduced costs are recomputed from scratch each iteration for clarity;
     // problem sizes here (IPET/knapsack) make this affordable.
+    std::vector<char> basic(cols_, 0);
+    for (const int b : basis_)
+      if (b >= 0) basic[static_cast<std::size_t>(b)] = 1;
     for (;;) {
       // z_j - c_j using the basis.
       std::vector<double> y(rows_, 0.0); // c_B in basis order
       for (std::size_t i = 0; i < rows_; ++i) y[i] = c_[basis_[i]];
       int enter = -1;
       for (std::size_t j = 0; j < cols_; ++j) {
+        // A basic column's reduced cost is zero by definition; rounding in
+        // zj can still push it past kEps, and entering it would pivot its
+        // own row onto itself forever.
+        if (basic[j]) continue;
         double zj = 0.0;
         for (std::size_t i = 0; i < rows_; ++i) zj += y[i] * a_[i][j];
         const double red = c_[j] - zj;
@@ -64,6 +71,8 @@ public:
         }
       }
       if (leave < 0) return false; // unbounded
+      basic[static_cast<std::size_t>(basis_[leave])] = 0;
+      basic[static_cast<std::size_t>(enter)] = 1;
       pivot(static_cast<std::size_t>(leave), static_cast<std::size_t>(enter));
     }
   }

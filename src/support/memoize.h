@@ -10,13 +10,17 @@
 // An optional capacity bounds the index for resident services: when a new
 // entry would push the index past the cap, the least-recently-used
 // *computed* entry is evicted (entries still being computed are never
-// candidates). Eviction only forgets — outstanding shared_ptrs stay valid,
-// and a later request for the evicted key simply recomputes.
+// candidates). A recency list kept in use order finds that victim without
+// scanning the index: it is the first computed entry from the list's cold
+// end, and only in-flight entries are ever skipped. Eviction only forgets —
+// outstanding shared_ptrs stay valid, and a later request for the evicted
+// key simply recomputes.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -61,7 +65,7 @@ public:
       const auto it = entries_.find(key);
       if (it != entries_.end() && it->second == entry &&
           !entry->ready.load(std::memory_order_acquire))
-        entries_.erase(it);
+        unindex(it);
       throw;
     }
     const std::lock_guard<std::mutex> lk(mu_);
@@ -73,12 +77,14 @@ public:
       // already took the key wins — latest insertion is authoritative.
       if (entries_.find(key) == entries_.end()) {
         evict_overflow(/*reserve=*/1);
-        entries_[key] = entry;
+        index(key, entry);
       }
     } else {
       ++stats_.hits;
     }
-    entry->last_used = ++tick_;
+    // A detached entry (evicted or displaced meanwhile) has no place in
+    // the recency order; an indexed one becomes the most recently used.
+    if (entry->indexed) recency_.splice(recency_.end(), recency_, entry->pos);
     return entry->value;
   }
 
@@ -107,18 +113,27 @@ public:
 
   void clear() {
     const std::lock_guard<std::mutex> lk(mu_);
+    for (auto& kv : entries_) kv.second->indexed = false;
     entries_.clear();
+    recency_.clear();
     stats_ = {};
   }
 
 private:
+  struct Entry;
+  using Index = std::map<Key, std::shared_ptr<Entry>>;
+  using Recency = std::list<typename Index::iterator>;
+
   struct Entry {
     std::once_flag once;
     std::shared_ptr<const Value> value;
     /// Published after `value` is written inside call_once, so eviction can
     /// test "computed?" without racing the computing thread.
     std::atomic<bool> ready{false};
-    uint64_t last_used = 0;
+    /// Whether the entry is in the index, and so in recency_ at `pos`.
+    /// Guarded by mu_.
+    bool indexed = false;
+    typename Recency::iterator pos;
   };
 
   std::shared_ptr<Entry> entry_for(const Key& key) {
@@ -128,10 +143,26 @@ private:
     // Make room before inserting so the fresh (still-computing) entry can
     // never be its own eviction victim.
     evict_overflow(/*reserve=*/1);
-    std::shared_ptr<Entry>& slot = entries_[key];
-    slot = std::make_shared<Entry>();
-    slot->last_used = ++tick_;
-    return slot;
+    const auto entry = std::make_shared<Entry>();
+    index(key, entry);
+    return entry;
+  }
+
+  /// Enters `entry` as the most recently used. Requires mu_ and no entry
+  /// for `key` in the index.
+  void index(const Key& key, const std::shared_ptr<Entry>& entry) {
+    entry->pos =
+        recency_.insert(recency_.end(), entries_.emplace(key, entry).first);
+    entry->indexed = true;
+  }
+
+  /// Removes an indexed entry from the index and the recency order.
+  /// Requires mu_.
+  void unindex(typename Index::iterator it) {
+    Entry& entry = *it->second;
+    recency_.erase(entry.pos);
+    entry.indexed = false;
+    entries_.erase(it);
   }
 
   /// Drops least-recently-used computed entries until the index (plus
@@ -140,25 +171,22 @@ private:
   void evict_overflow(std::size_t reserve) {
     if (capacity_ == 0) return;
     while (entries_.size() + reserve > capacity_) {
-      auto victim = entries_.end();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (!it->second->ready.load(std::memory_order_acquire))
-          continue; // in flight: not a candidate
-        if (victim == entries_.end() ||
-            it->second->last_used < victim->second->last_used)
-          victim = it;
-      }
-      if (victim == entries_.end()) return; // everything is in flight
-      entries_.erase(victim);
+      auto victim = recency_.begin();
+      while (victim != recency_.end() &&
+             !(*victim)->second->ready.load(std::memory_order_acquire))
+        ++victim; // in flight: not a candidate
+      if (victim == recency_.end()) return; // everything is in flight
+      unindex(*victim);
       ++stats_.evictions;
     }
   }
 
   mutable std::mutex mu_;
-  std::map<Key, std::shared_ptr<Entry>> entries_;
+  Index entries_;
+  /// Indexed entries, least recently used first.
+  Recency recency_;
   Stats stats_;
   std::size_t capacity_ = 0;
-  uint64_t tick_ = 0;
 };
 
 } // namespace spmwcet::support

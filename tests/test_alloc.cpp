@@ -63,6 +63,47 @@ TEST(Knapsack, BenefitIsMonotoneInCapacity) {
   }
 }
 
+TEST(Knapsack, IlpReturnsWhereRoundingMadeABasicColumnReenter) {
+  // gen:loopy:772's candidates at 64 bytes. The simplex used to price a
+  // basic column above the tolerance here (rounding in its reduced cost),
+  // re-enter it and pivot its own row onto itself forever.
+  const std::vector<MemoryObject> objects = {
+      {"h0", true, 60, 73, 1800.0999999999999},
+      {"main", true, 992, 24604, 644622.80000000005},
+      {"g0", false, 64, 23, 1106.3},
+      {"g1", false, 32, 346, 8061.8000000000002},
+      {"g2", false, 16, 72, 1029.6000000000001},
+      {"gs", false, 4, 1635, 78643.499999999985}};
+  for (const uint32_t cap : {64u, 128u}) {
+    const KnapsackResult ilp = solve_knapsack_ilp(objects, cap);
+    EXPECT_DOUBLE_EQ(ilp.benefit_nj, solve_knapsack_dp(objects, cap).benefit_nj)
+        << cap;
+    EXPECT_LE(ilp.used_bytes, cap);
+  }
+}
+
+TEST(Allocator, LoopyMemberAllocatesAtEveryPaperSize) {
+  // The end-to-end form of the case above: every paper size of the
+  // program allocates, with the ILP's benefit equal to the DP's.
+  const auto wl = workloads::WorkloadRegistry::instance().benchmark(
+      "gen:loopy:772");
+  const link::Image img = link::link_program(wl->module, {}, {});
+  sim::SimConfig pcfg;
+  pcfg.collect_profile = true;
+  sim::Simulator profiler(img, pcfg);
+  const sim::AccessProfile profile = profiler.run().profile;
+  const auto objects = collect_objects(wl->module, profile, {});
+  for (const uint32_t size : {64u, 128u, 256u, 512u, 1024u, 2048u, 4096u,
+                              8192u}) {
+    const AllocationResult a = allocate_energy_optimal(wl->module, profile,
+                                                       size);
+    EXPECT_DOUBLE_EQ(a.benefit_nj,
+                     solve_knapsack_dp(objects, size).benefit_nj)
+        << size;
+    EXPECT_LE(a.used_bytes, size);
+  }
+}
+
 TEST(EnergyModel, BenefitsArePositiveAndWidthOrdered) {
   const energy::EnergyModel em;
   EXPECT_GT(em.spm_benefit_nj(1), 0.0);

@@ -3,12 +3,18 @@
 // table printer, the parallel loop, and the persistent thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <random>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -300,6 +306,150 @@ TEST(Memoizer, ThrowingComputesAreForgottenNotZombified) {
   EXPECT_EQ(*memo.get(2, [&] { return ++computes; }), 7);
   EXPECT_EQ(computes, 0);
   EXPECT_LE(memo.size(), 2u);
+}
+
+/// The Memoizer's eviction before its recency list: a linear scan for the
+/// ready entry with the oldest use tick. Kept here as the oracle the
+/// recency-list victim must match exactly.
+template <typename Key, typename Value>
+class LinearScanMemoizer {
+public:
+  std::shared_ptr<const Value> get(const Key& key,
+                                   const std::function<Value()>& make) {
+    const std::shared_ptr<Entry> entry = entry_for(key);
+    bool computed = false;
+    try {
+      std::call_once(entry->once, [&] {
+        entry->value = std::make_shared<const Value>(make());
+        entry->ready = true;
+        computed = true;
+      });
+    } catch (...) {
+      const auto it = entries_.find(key);
+      if (it != entries_.end() && it->second == entry && !entry->ready)
+        entries_.erase(it);
+      throw;
+    }
+    if (computed) {
+      ++stats_.misses;
+      if (entries_.find(key) == entries_.end()) {
+        evict_overflow(1);
+        entries_[key] = entry;
+      }
+    } else {
+      ++stats_.hits;
+    }
+    entry->last_used = ++tick_;
+    return entry->value;
+  }
+  support::MemoStats stats() const { return stats_; }
+  std::size_t size() const { return entries_.size(); }
+  void set_capacity(std::size_t capacity) {
+    capacity_ = capacity;
+    evict_overflow(0);
+  }
+
+private:
+  struct Entry {
+    std::once_flag once;
+    std::shared_ptr<const Value> value;
+    bool ready = false;
+    uint64_t last_used = 0;
+  };
+  std::shared_ptr<Entry> entry_for(const Key& key) {
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) return it->second;
+    evict_overflow(1);
+    std::shared_ptr<Entry>& slot = entries_[key];
+    slot = std::make_shared<Entry>();
+    slot->last_used = ++tick_;
+    return slot;
+  }
+  void evict_overflow(std::size_t reserve) {
+    if (capacity_ == 0) return;
+    while (entries_.size() + reserve > capacity_) {
+      auto victim = entries_.end();
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (!it->second->ready) continue;
+        if (victim == entries_.end() ||
+            it->second->last_used < victim->second->last_used)
+          victim = it;
+      }
+      if (victim == entries_.end()) return;
+      entries_.erase(victim);
+      ++stats_.evictions;
+    }
+  }
+  std::map<Key, std::shared_ptr<Entry>> entries_;
+  support::MemoStats stats_;
+  std::size_t capacity_ = 0;
+  uint64_t tick_ = 0;
+};
+
+/// Drives a memoizer through a seeded sequence of gets, throwing gets,
+/// capacity changes and gets whose compute nests further operations (so
+/// in-flight entries are present when eviction runs), logging every
+/// observable outcome.
+template <typename Memo>
+std::vector<std::string> replay_memo_ops(Memo& memo, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::string> log;
+  std::set<int> in_flight;
+  std::function<void(int)> op = [&](int depth) {
+    // Throwing computes stay rare: at one throw in ten operations this
+    // test grew to gigabytes under ThreadSanitizer (exceptions thrown
+    // through std::call_once), and the TSAN job runs this suite.
+    const unsigned kind = static_cast<unsigned>(rng() % 512);
+    int key = static_cast<int>(rng() % 24);
+    while (in_flight.count(key) != 0) key = (key + 1) % 24;
+    if (kind < 48) {
+      memo.set_capacity(rng() % 8); // 0 = unbounded
+      log.push_back("cap");
+    } else if (kind == 48) {
+      try {
+        (void)memo.get(key, []() -> int { throw std::runtime_error("x"); });
+        log.push_back("hit " + std::to_string(key));
+      } catch (const std::runtime_error&) {
+        log.push_back("throw " + std::to_string(key));
+      }
+    } else {
+      const bool nest = kind < 96 && depth < 3;
+      bool computed = false;
+      in_flight.insert(key);
+      (void)memo.get(key, [&] {
+        computed = true;
+        if (nest)
+          for (int i = 0; i < 3; ++i) op(depth + 1);
+        return key;
+      });
+      in_flight.erase(key);
+      log.push_back((computed ? "miss " : "hit ") + std::to_string(key));
+    }
+    const support::MemoStats st = memo.stats();
+    log.push_back("size " + std::to_string(memo.size()) + " evictions " +
+                  std::to_string(st.evictions));
+  };
+  for (int i = 0; i < 3000; ++i) op(0);
+  return log;
+}
+
+TEST(Memoizer, RecencyListEvictsTheLinearScansVictim) {
+  uint64_t throws = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    support::Memoizer<int, int> memo;
+    LinearScanMemoizer<int, int> oracle;
+    const auto got = replay_memo_ops(memo, seed);
+    const auto want = replay_memo_ops(oracle, seed);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      ASSERT_EQ(got[i], want[i]) << "seed " << seed << " step " << i;
+    EXPECT_GT(memo.stats().evictions, 0u) << "seed " << seed;
+    throws += static_cast<uint64_t>(
+        std::count_if(got.begin(), got.end(), [](const std::string& e) {
+          return e.rfind("throw", 0) == 0;
+        }));
+  }
+  EXPECT_GT(throws, 8u); // the forget-on-throw path is exercised
 }
 
 TEST(Memoizer, ConcurrentFirstCallersComputeOnce) {

@@ -7,12 +7,16 @@
 // different point value, even a formatting change — fails loudly.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <sstream>
+#include <thread>
 
 #include "harness/artifact_cache.h"
 #include "harness/experiment.h"
 #include "harness/sweep_runner.h"
 #include "link/layout.h"
+#include "support/deadline.h"
+#include "support/fault.h"
 #include "workloads/workload.h"
 
 namespace spmwcet {
@@ -187,6 +191,73 @@ TEST(SweepRunner, MatrixBatchesWorkloadsAndSetups) {
   EXPECT_EQ(render(adpcm, cache_cfg, results[3]),
             render(adpcm, cache_cfg,
                    harness::run_sweep_parallel(adpcm, cache_cfg, 1)));
+}
+
+TEST(SweepRunner, MatrixClaimsSizeMajor) {
+  // Slots are request-major; claims walk every request at each size index
+  // before the next, skipping requests whose size list is exhausted.
+  const auto wl = workloads::make_adpcm(64);
+  harness::SweepConfig a, b, c;
+  a.sizes = {64, 128, 256};
+  b.sizes = {512};
+  c.sizes = {64, 1024};
+  EXPECT_EQ(harness::detail::claim_order({{&wl, a}, {&wl, b}, {&wl, c}}),
+            (std::vector<std::size_t>{0, 3, 4, 1, 5, 2}));
+}
+
+TEST(SweepRunner, MatrixKeepsSlotOrderUnderSizeMajorClaims) {
+  // Requests with uneven size lists: each result must still be its own
+  // sweep, points in its cfg.sizes order, at any pool width.
+  const auto g721 = workloads::make_g721(16);
+  const auto adpcm = workloads::make_adpcm(64);
+  harness::SweepConfig spm = config_for(harness::MemSetup::Scratchpad);
+  harness::SweepConfig one = config_for(harness::MemSetup::Cache);
+  one.sizes = {512};
+  harness::SweepConfig two = config_for(harness::MemSetup::Scratchpad);
+  two.sizes = {2048, 64};
+  const std::vector<harness::MatrixRequest> requests = {
+      {&g721, spm}, {&adpcm, one}, {&adpcm, two}};
+  for (const unsigned jobs : {1u, 3u}) {
+    const auto results = harness::run_matrix(requests, jobs);
+    ASSERT_EQ(results.size(), requests.size());
+    for (std::size_t r = 0; r < requests.size(); ++r)
+      expect_identical_points(
+          results[r],
+          harness::run_sweep_parallel(*requests[r].workload,
+                                      requests[r].config, 1),
+          "jobs " + std::to_string(jobs) + " request " + std::to_string(r));
+  }
+}
+
+TEST(SweepRunner, MatrixReportsFirstErrorBySlotNotByClaim) {
+  // Request 1 carries an expired deadline, so every one of its points
+  // fails; the injected fault fails request 0's second point. Claimed
+  // size-major, request 1's first point fails before request 0's second,
+  // but request 0's failure holds the earlier slot and is the one
+  // reported.
+  const auto wl = workloads::make_adpcm(64);
+  const harness::SweepConfig ok = config_for(harness::MemSetup::Scratchpad);
+  harness::SweepConfig late = ok;
+  late.deadline = support::Deadline::after_ms(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(late.deadline.expired());
+
+  // Claims: (0, 64), (1, 64), (0, 256), ... — the third evaluation fires.
+  support::fault::arm("engine.compute.throw", 1.0, /*times=*/1, /*skip=*/2);
+  const harness::SweepRunner runner(harness::SweepRunnerOptions{1});
+  std::string error;
+  bool deadline = false;
+  try {
+    runner.run_matrix({{&wl, ok}, {&wl, late}});
+  } catch (const support::DeadlineExceededError& e) {
+    deadline = true;
+    error = e.what();
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  support::fault::disarm_all();
+  EXPECT_FALSE(deadline) << error;
+  EXPECT_NE(error.find("injected fault"), std::string::npos) << error;
 }
 
 TEST(SweepRunner, ZeroJobsPicksHardwareConcurrency) {

@@ -434,6 +434,8 @@ TEST(Serve, HealthReportsServeAndEngineCounters) {
   // Ping is answered at the wire layer and never reaches the Engine.
   EXPECT_EQ(eng->find("requests")->as_int(), 0);
   EXPECT_EQ(eng->find("shed")->as_int(), 0);
+  EXPECT_EQ(eng->find("placed_hits")->as_int(), 0);
+  EXPECT_EQ(eng->find("placed_misses")->as_int(), 0);
   // A health probe takes no payload fields.
   EXPECT_EQ(code_of(R"({"v":1,"op":"health","workload":"g721"})"),
             ErrorCode::InvalidArgument);
