@@ -74,7 +74,7 @@ AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
 AllocationResult allocate_wcet_driven(const minic::ObjModule& mod,
                                       uint32_t spm_capacity,
                                       link::LinkOptions opts,
-                                      bool fast_wcet) {
+                                      bool fast_path) {
   opts.spm_size = spm_capacity;
 
   // Candidates with their sizes; benefits are discovered by re-analysis.
@@ -85,7 +85,7 @@ AllocationResult allocate_wcet_driven(const minic::ObjModule& mod,
   link::SpmAssignment current;
   uint32_t used = 0;
   wcet::AnalyzerConfig acfg;
-  acfg.fast_path = fast_wcet;
+  acfg.fast_path = fast_path;
   auto wcet_of = [&](const link::SpmAssignment& a) -> uint64_t {
     const link::Image img = link::link_program(mod, opts, a);
     return wcet::analyze_wcet(img, acfg).wcet;

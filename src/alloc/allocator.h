@@ -35,12 +35,12 @@ AllocationResult allocate_energy_optimal(const minic::ObjModule& mod,
 /// placement most reduces the analyzed WCET per byte, re-linking and
 /// re-analyzing after each candidate evaluation. `opts` supplies the
 /// address-space shape (its spm_size is overridden by `spm_capacity`).
-/// `fast_wcet = false` runs every candidate analysis through the seed
-/// analyzer (the --legacy-wcet escape hatch; chosen placements are
+/// `fast_path = false` runs every candidate analysis through the seed
+/// analyzer (the harness reference pipeline; chosen placements are
 /// identical either way by analyzer parity).
 AllocationResult allocate_wcet_driven(const minic::ObjModule& mod,
                                       uint32_t spm_capacity,
                                       link::LinkOptions opts = {},
-                                      bool fast_wcet = true);
+                                      bool fast_path = true);
 
 } // namespace spmwcet::alloc

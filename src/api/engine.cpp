@@ -81,14 +81,10 @@ harness::SweepConfig Engine::config_for(MemSetup setup,
   cfg.cache_unified = options.cache_unified;
   cfg.with_persistence = options.with_persistence;
   cfg.wcet_driven_alloc = options.wcet_driven_alloc;
-  cfg.use_artifact_cache = options.use_artifact_cache;
-  cfg.fast_wcet = !options.legacy_wcet;
-  cfg.incremental_wcet = options.incremental;
-  cfg.block_tier = options.block_tier;
   // Resolved name-based requests run against the session cache, so
   // size-independent artifacts survive across requests, not just within
   // one batch (run_matrix leaves a non-null pointer alone).
-  cfg.artifacts = options.use_artifact_cache ? &artifacts_ : nullptr;
+  cfg.artifacts = &artifacts_;
   cfg.jobs = opts_.jobs;
   return cfg;
 }
@@ -103,8 +99,7 @@ Result<PointResult> Engine::point(const PointRequest& req) {
   try {
     const AdmissionGate::Ticket ticket(gate_, queue_wait_ms(opts_, deadline));
     if (!ticket.admitted()) return admission_error(deadline, "point");
-    return cached_response<PointResult>(point_responses_, req.key(),
-                                      req.options().use_artifact_cache, [&] {
+    return cached_response<PointResult>(point_responses_, req.key(), [&] {
       PointResult r;
       // Results carry the workload's display name (Table-2 spelling), the
       // same name every table title and the historical `run` report used.
@@ -141,8 +136,7 @@ Result<SweepResult> Engine::sweep(const SweepRequest& req) {
   try {
     const AdmissionGate::Ticket ticket(gate_, queue_wait_ms(opts_, deadline));
     if (!ticket.admitted()) return admission_error(deadline, "sweep");
-    return cached_response<SweepResult>(sweep_responses_, req.key(),
-                                      req.options().use_artifact_cache, [&] {
+    return cached_response<SweepResult>(sweep_responses_, req.key(), [&] {
       harness::SweepConfig cfg =
           config_for(req.setup(), req.sizes(), req.options());
       cfg.deadline = deadline;
@@ -180,8 +174,7 @@ Result<EvalResult> Engine::eval(const EvalRequest& req) {
   try {
     const AdmissionGate::Ticket ticket(gate_, queue_wait_ms(opts_, deadline));
     if (!ticket.admitted()) return admission_error(deadline, "eval");
-    return cached_response<EvalResult>(eval_responses_, req.key(),
-                                     req.options().use_artifact_cache, [&] {
+    return cached_response<EvalResult>(eval_responses_, req.key(), [&] {
       harness::SweepConfig base =
           config_for(MemSetup::Scratchpad, req.sizes(), req.options());
       base.deadline = deadline;
@@ -213,8 +206,7 @@ Result<CorpusResult> Engine::corpus(const CorpusRequest& req) {
   try {
     const AdmissionGate::Ticket ticket(gate_, queue_wait_ms(opts_, deadline));
     if (!ticket.admitted()) return admission_error(deadline, "corpus");
-    return cached_response<CorpusResult>(corpus_responses_, req.key(),
-                                       req.options().use_artifact_cache, [&] {
+    return cached_response<CorpusResult>(corpus_responses_, req.key(), [&] {
       harness::SweepConfig cfg =
           config_for(req.setup(), req.sizes(), req.options());
       cfg.deadline = deadline;
@@ -222,57 +214,60 @@ Result<CorpusResult> Engine::corpus(const CorpusRequest& req) {
       requests.reserve(wls.size());
       for (const auto& wl : wls)
         requests.push_back({wl.get(), cfg});
-      const std::vector<std::vector<harness::SweepPoint>> sweeps =
-          harness::run_matrix(requests, opts_.jobs);
-
-      CorpusResult r;
-      r.shape = req.shape();
-      r.base_seed = req.base_seed();
-      r.count = req.count();
-      r.setup = req.setup();
-      r.options = req.options();
-      r.sizes = req.sizes();
-      // Aggregate in fixed (size, seed) order so the floating-point sums
-      // are identical regardless of batch width — the corpus op is part
-      // of the --jobs byte-identity gate.
-      r.stats.reserve(r.sizes.size());
-      for (std::size_t si = 0; si < r.sizes.size(); ++si) {
-        CorpusResult::SizeStats st;
-        st.size_bytes = r.sizes[si];
-        double wcet_sum = 0.0, ratio_sum = 0.0, energy_sum = 0.0;
-        for (std::size_t wi = 0; wi < sweeps.size(); ++wi) {
-          const harness::SweepPoint& p = sweeps[wi][si];
-          if (wi == 0) {
-            st.wcet_min = st.wcet_max = p.wcet_cycles;
-            st.ratio_min = st.ratio_max = p.ratio;
-            st.energy_min_nj = st.energy_max_nj = p.energy_nj;
-          } else {
-            st.wcet_min = std::min(st.wcet_min, p.wcet_cycles);
-            st.wcet_max = std::max(st.wcet_max, p.wcet_cycles);
-            st.ratio_min = std::min(st.ratio_min, p.ratio);
-            st.ratio_max = std::max(st.ratio_max, p.ratio);
-            st.energy_min_nj = std::min(st.energy_min_nj, p.energy_nj);
-            st.energy_max_nj = std::max(st.energy_max_nj, p.energy_nj);
-          }
-          wcet_sum += static_cast<double>(p.wcet_cycles);
-          ratio_sum += p.ratio;
-          energy_sum += p.energy_nj;
-          r.total_sim_cycles += p.sim_cycles;
-          r.total_wcet_cycles += p.wcet_cycles;
-        }
-        const double n = static_cast<double>(sweeps.size());
-        st.wcet_mean = wcet_sum / n;
-        st.ratio_mean = ratio_sum / n;
-        st.energy_mean_nj = energy_sum / n;
-        r.stats.push_back(st);
-      }
-      return r;
+      return summarize_corpus(req, harness::run_matrix(requests, opts_.jobs));
     });
   } catch (const support::DeadlineExceededError& e) {
     return ApiError{ErrorCode::DeadlineExceeded, e.what(), "corpus"};
   } catch (const std::exception& e) {
     return ApiError{ErrorCode::ExecutionError, e.what(), "corpus"};
   }
+}
+
+CorpusResult
+summarize_corpus(const CorpusRequest& req,
+                 const std::vector<std::vector<harness::SweepPoint>>& sweeps) {
+  CorpusResult r;
+  r.shape = req.shape();
+  r.base_seed = req.base_seed();
+  r.count = req.count();
+  r.setup = req.setup();
+  r.options = req.options();
+  r.sizes = req.sizes();
+  // Aggregate in fixed (size, seed) order so the floating-point sums
+  // are identical regardless of batch width — the corpus op is part
+  // of the --jobs byte-identity gate.
+  r.stats.reserve(r.sizes.size());
+  for (std::size_t si = 0; si < r.sizes.size(); ++si) {
+    CorpusResult::SizeStats st;
+    st.size_bytes = r.sizes[si];
+    double wcet_sum = 0.0, ratio_sum = 0.0, energy_sum = 0.0;
+    for (std::size_t wi = 0; wi < sweeps.size(); ++wi) {
+      const harness::SweepPoint& p = sweeps[wi][si];
+      if (wi == 0) {
+        st.wcet_min = st.wcet_max = p.wcet_cycles;
+        st.ratio_min = st.ratio_max = p.ratio;
+        st.energy_min_nj = st.energy_max_nj = p.energy_nj;
+      } else {
+        st.wcet_min = std::min(st.wcet_min, p.wcet_cycles);
+        st.wcet_max = std::max(st.wcet_max, p.wcet_cycles);
+        st.ratio_min = std::min(st.ratio_min, p.ratio);
+        st.ratio_max = std::max(st.ratio_max, p.ratio);
+        st.energy_min_nj = std::min(st.energy_min_nj, p.energy_nj);
+        st.energy_max_nj = std::max(st.energy_max_nj, p.energy_nj);
+      }
+      wcet_sum += static_cast<double>(p.wcet_cycles);
+      ratio_sum += p.ratio;
+      energy_sum += p.energy_nj;
+      r.total_sim_cycles += p.sim_cycles;
+      r.total_wcet_cycles += p.wcet_cycles;
+    }
+    const double n = static_cast<double>(sweeps.size());
+    st.wcet_mean = wcet_sum / n;
+    st.ratio_mean = ratio_sum / n;
+    st.energy_mean_nj = energy_sum / n;
+    r.stats.push_back(st);
+  }
+  return r;
 }
 
 harness::SweepPoint Engine::run_point(const workloads::WorkloadInfo& wl,
@@ -296,10 +291,10 @@ std::vector<harness::EvaluationResult> Engine::run_evaluation(
   harness::SweepConfig cache_cfg = base;
   cache_cfg.setup = MemSetup::Cache;
   // The workloads are shared_ptr-pinned below, so this path honors the
-  // session cache contract: caching requested + no caller-provided cache
-  // → size-independent artifacts survive across run_evaluation calls
-  // instead of being re-derived per batch.
-  if (base.use_artifact_cache && base.artifacts == nullptr) {
+  // session cache contract: with no caller-provided cache, size-independent
+  // artifacts survive across run_evaluation calls instead of being
+  // re-derived per batch.
+  if (base.artifacts == nullptr) {
     spm_cfg.artifacts = &artifacts_;
     cache_cfg.artifacts = &artifacts_;
   }
@@ -449,7 +444,7 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
   // baseline the speedup gate compares against.
   const std::vector<uint32_t> sizes = harness::SweepConfig{}.sizes;
   WcetBenchResult out;
-  out.legacy_wcet = req.legacy_wcet();
+  out.legacy = req.legacy();
   out.incremental = req.incremental();
   out.repeat = req.repeat();
 
@@ -504,7 +499,7 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
     };
 
     measure("spm", [&] {
-      if (req.legacy_wcet()) {
+      if (req.legacy()) {
         for (const link::Image& pimg : placed)
           (void)wcet::analyze_wcet(pimg, legacy_cfg);
       } else {
@@ -527,7 +522,7 @@ WcetBenchResult Engine::measure_wcetbench(const WcetBenchRequest& req) {
       return ccfg;
     };
     const auto cache_pass = [&](bool persistence) {
-      if (req.legacy_wcet()) {
+      if (req.legacy()) {
         for (const uint32_t size : sizes) {
           wcet::AnalyzerConfig acfg = legacy_cfg;
           acfg.cache = cache_cfg(size);

@@ -135,6 +135,13 @@ struct CorpusResult {
   uint64_t total_wcet_cycles = 0; ///< sum over all (member, size) points
 };
 
+/// The corpus result of `req` from its members' size sweeps (one per
+/// member in seed order, points in req.sizes() order). Engine::corpus
+/// aggregates with this; the parity tests apply it to reference sweeps.
+CorpusResult
+summarize_corpus(const CorpusRequest& req,
+                 const std::vector<std::vector<harness::SweepPoint>>& sweeps);
+
 /// Simulator throughput: one row per (benchmark, configuration).
 struct SimBenchResult {
   struct Row {
@@ -164,7 +171,7 @@ struct WcetBenchResult {
     double best_seconds = 0.0; ///< best pass wall time
     double analyses_per_second = 0.0;
   };
-  bool legacy_wcet = false;
+  bool legacy = false;
   bool incremental = true;
   uint32_t repeat = 0;
   std::vector<Row> rows;
@@ -209,8 +216,8 @@ public:
   std::vector<harness::SweepPoint>
   run_sweep(const workloads::WorkloadInfo& wl, const harness::SweepConfig& cfg);
   /// Shared-ptr workloads are pinned for the Engine's lifetime, so this
-  /// path does use the cross-request artifact cache (when cfg asks for
-  /// caching and carries none of its own).
+  /// path does use the cross-request artifact cache (when cfg carries none
+  /// of its own).
   std::vector<harness::EvaluationResult> run_evaluation(
       const std::vector<std::shared_ptr<const workloads::WorkloadInfo>>& wls,
       const harness::SweepConfig& base);
@@ -308,15 +315,14 @@ private:
   };
 
   /// The shared response-cache policy: compute, or serve the memoized
-  /// result for an identical request key (counting the hit). A request
-  /// that opts out of artifact caching is asking for re-derivation — its
-  /// responses must re-execute too (`cacheable` = false), or warm A/B
-  /// timings of the no-cache path would measure a replay.
+  /// result for an identical request key (counting the hit). Sound because
+  /// every request runs the one deterministic production pipeline, so
+  /// equal keys mean equal results.
   template <typename R>
   Result<R> cached_response(support::Memoizer<std::string, R>& cache,
-                            const std::string& key, bool cacheable,
+                            const std::string& key,
                             const std::function<R()>& compute) {
-    if (!opts_.cache_responses || !cacheable) return compute();
+    if (!opts_.cache_responses) return compute();
     bool computed = false;
     const std::shared_ptr<const R> result = cache.get(key, [&] {
       computed = true;

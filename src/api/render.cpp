@@ -106,7 +106,7 @@ void render_wcetbench(const WcetBenchResult& result, std::ostream& os) {
                    TablePrinter::fmt(r.best_seconds * 1e3, 3),
                    TablePrinter::fmt(r.analyses_per_second, 0)});
   os << "WCET analyzer throughput ("
-     << (result.legacy_wcet
+     << (result.legacy
              ? "legacy"
              : (result.incremental ? "IR incremental" : "IR from-scratch"))
      << " analyzer, best of " << result.repeat

@@ -137,13 +137,6 @@ void key_options(std::string& key, const ExperimentOptions& o) {
   key += o.cache_unified ? "|unified" : "|icache";
   if (o.with_persistence) key += "|pers";
   if (o.wcet_driven_alloc) key += "|wcetalloc";
-  if (!o.use_artifact_cache) key += "|nocache";
-  // The legacy analyzer produces identical results, but it must still key
-  // separately: a --legacy-wcet A/B timing served a replayed fast-path
-  // response would be a lie. Same for the --no-incremental baseline.
-  if (o.legacy_wcet) key += "|legacywcet";
-  if (!o.incremental) key += "|noincr";
-  if (!o.block_tier) key += "|noblocktier";
 }
 
 void key_sizes(std::string& key, const std::vector<uint32_t>& sizes) {
@@ -307,7 +300,7 @@ std::string CorpusRequest::key() const {
 }
 
 Result<WcetBenchRequest> WcetBenchRequest::make(uint32_t repeat,
-                                                bool legacy_wcet,
+                                                bool legacy,
                                                 bool incremental) {
   if (repeat == 0 || repeat > kMaxRepeat)
     return ApiError{ErrorCode::OutOfRange,
@@ -317,7 +310,7 @@ Result<WcetBenchRequest> WcetBenchRequest::make(uint32_t repeat,
                     "repeat"};
   WcetBenchRequest req;
   req.repeat_ = repeat;
-  req.legacy_ = legacy_wcet;
+  req.legacy_ = legacy;
   req.incremental_ = incremental;
   return req;
 }

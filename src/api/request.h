@@ -13,9 +13,10 @@
 //   CorpusRequest   a generated-workload seed range through one batch
 //   SimBenchRequest simulator-throughput measurement
 //
-// The option structs deliberately mirror harness::SweepConfig's knobs —
-// requests are the typed public spelling of what used to be smeared across
-// SweepConfig fields and CLI flag parsing.
+// ExperimentOptions holds the experiment's own variables (cache geometry,
+// persistence, allocation strategy) and nothing else: every request runs
+// the one production pipeline. The seed reference pipeline is reachable
+// only through harness::SweepConfig::reference, for the parity tests.
 #pragma once
 
 #include <cstdint>
@@ -48,17 +49,6 @@ struct ExperimentOptions {
   bool cache_unified = true;    ///< cache branch: unified vs instruction-only
   bool with_persistence = false;///< cache branch: persistence analysis
   bool wcet_driven_alloc = false; ///< SPM branch: WCET-greedy ablation
-  bool use_artifact_cache = true; ///< false = seed re-derive-per-point path
-  bool legacy_wcet = false; ///< seed WCET analyzer (field-identical, slower)
-  /// Incremental IPET (batch-scoped LP-skeleton cache) + flat persistence;
-  /// false is the --no-incremental from-scratch A/B baseline
-  /// (field-identical, slower). Ignored with legacy_wcet.
-  bool incremental = true;
-  /// Superblock translation tier in the simulator; false is the
-  /// --no-block-tier per-instruction A/B baseline (field-identical,
-  /// slower). No effect on cache-branch simulations (tier disables itself
-  /// under a functional cache).
-  bool block_tier = true;
 };
 
 class PointRequest {
@@ -186,15 +176,15 @@ public:
   /// workload, one sweep-shaped pass per setup (the 8 paper sizes of the
   /// SPM branch against pre-linked placements, the 8 cache sizes — and the
   /// persistence-enabled cache sizes — against the canonical image), best
-  /// of `repeat`. `legacy_wcet` measures the seed analyzer as the speedup
+  /// of `repeat`. `legacy` measures the seed analyzer as the speedup
   /// baseline; `incremental = false` measures the PR 5 fast path
   /// (from-scratch IPET, map persistence) as the incremental baseline.
   static Result<WcetBenchRequest> make(uint32_t repeat = 5,
-                                       bool legacy_wcet = false,
+                                       bool legacy = false,
                                        bool incremental = true);
 
   uint32_t repeat() const { return repeat_; }
-  bool legacy_wcet() const { return legacy_; }
+  bool legacy() const { return legacy_; }
   bool incremental() const { return incremental_; }
   std::string key() const;
 

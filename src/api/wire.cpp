@@ -66,10 +66,8 @@ Result<ExperimentOptions> parse_options(const json::Value& req) {
   // Unknown keys are refused, not ignored: a typoed option ("wcet-alloc",
   // "persistance") silently running the default configuration would hand
   // the client mislabeled data with ok:true.
-  static const char* known[] = {"assoc",          "unified",
-                                "persistence",    "wcet_alloc",
-                                "artifact_cache", "legacy_wcet",
-                                "incremental",    "block_tier"};
+  static const char* known[] = {"assoc", "unified", "persistence",
+                                "wcet_alloc"};
   for (const auto& [key, value] : o->members()) {
     bool ok = false;
     for (const char* k : known) ok = ok || key == k;
@@ -88,18 +86,6 @@ Result<ExperimentOptions> parse_options(const json::Value& req) {
   auto wcet = get_bool(*o, "wcet_alloc", opts.wcet_driven_alloc);
   if (!wcet.ok()) return wcet.error();
   opts.wcet_driven_alloc = wcet.value();
-  auto cache = get_bool(*o, "artifact_cache", opts.use_artifact_cache);
-  if (!cache.ok()) return cache.error();
-  opts.use_artifact_cache = cache.value();
-  auto legacy = get_bool(*o, "legacy_wcet", opts.legacy_wcet);
-  if (!legacy.ok()) return legacy.error();
-  opts.legacy_wcet = legacy.value();
-  auto incr = get_bool(*o, "incremental", opts.incremental);
-  if (!incr.ok()) return incr.error();
-  opts.incremental = incr.value();
-  auto tier = get_bool(*o, "block_tier", opts.block_tier);
-  if (!tier.ok()) return tier.error();
-  opts.block_tier = tier.value();
   return opts;
 }
 
@@ -522,7 +508,7 @@ std::string encode_response(int64_t id, const WcetBenchResult& result,
 json::Value wcetbench_to_json(const WcetBenchResult& result) {
   json::Value r = json::Value::object();
   r.set("schema", json::Value("spmwcet-wcet-throughput/2"));
-  r.set("mode", json::Value(result.legacy_wcet ? "legacy" : "fast"));
+  r.set("mode", json::Value(result.legacy ? "legacy" : "fast"));
   r.set("incremental", json::Value(result.incremental));
   r.set("repeat", json::Value(result.repeat));
   json::Value rows = json::Value::array();

@@ -20,7 +20,7 @@
 // ("text" or "csv" — the response then carries an "output" string with the
 // exact bytes the batch CLI would print for the equivalent command),
 // "options" ({"assoc":N,"unified":bool,"persistence":bool,
-// "wcet_alloc":bool,"artifact_cache":bool}), and — on point/sweep/eval —
+// "wcet_alloc":bool}; any other key is refused), and — on point/sweep/eval —
 // "deadline_ms" (wall-time budget from request arrival; an expired
 // request is answered with code "deadline_exceeded" instead of running to
 // completion).

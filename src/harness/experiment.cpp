@@ -4,8 +4,6 @@
 #include "harness/artifact_cache.h"
 #include "harness/sweep_runner.h"
 
-#include <optional>
-
 #include "alloc/allocator.h"
 #include "link/layout.h"
 #include "program/decoded_image.h"
@@ -18,72 +16,10 @@ namespace spmwcet::harness {
 
 namespace {
 
-/// The canonical no-assignment link shared by the cache branch and the
-/// profiling simulation: served from the batch's ArtifactCache when one is
-/// present, otherwise linked locally (the seed per-point path).
-std::shared_ptr<const link::Image>
-no_assignment_image(const workloads::WorkloadInfo& wl, const SweepConfig& cfg) {
-  if (cfg.use_artifact_cache && cfg.artifacts != nullptr)
-    return cfg.artifacts->image(
-        wl, [&] { return link::link_program(wl.module, {}, {}); });
-  return std::make_shared<const link::Image>(
-      link::link_program(wl.module, {}, {}));
-}
-
-bool cached(const SweepConfig& cfg) {
-  return cfg.use_artifact_cache && cfg.artifacts != nullptr;
-}
-
-/// The workload's layout-invariant analyzer skeleton. Any link of the
-/// module yields the same shape, so a cached compute may run against
-/// whichever image reaches it first; without a batch cache the shape is
-/// built locally from the point's own image.
-std::shared_ptr<const wcet::ProgramShape>
-shape_for(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
-          const link::Image& img, const program::DecodedImage& dec) {
-  if (cached(cfg))
-    return cfg.artifacts->shape(wl,
-                                [&] { return wcet::build_shape(img, dec); });
-  return std::make_shared<const wcet::ProgramShape>(
-      wcet::build_shape(img, dec));
-}
-
-/// Shared decode of the canonical no-assignment image (cache branch and
-/// profiling simulation): one decode per workload per batch.
-std::shared_ptr<const program::DecodedImage>
-canonical_decoded(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
-                  const link::Image& img) {
-  if (cached(cfg))
-    return cfg.artifacts->decoded(
-        wl, [&] { return program::DecodedImage(img); });
-  return std::make_shared<const program::DecodedImage>(img);
-}
-
-/// The analyzer front end bound to the canonical image, shared by every
-/// cache size of the cache branch. The view pins the image (and shape) it
-/// borrows, so a cached copy outlives the batch safely.
-std::shared_ptr<const wcet::ProgramView>
-canonical_view(const workloads::WorkloadInfo& wl, const SweepConfig& cfg,
-               const std::shared_ptr<const link::Image>& img,
-               const program::DecodedImage& dec) {
-  const auto make = [&] {
-    wcet::ProgramView v =
-        wcet::bind_view(shape_for(wl, cfg, *img, dec), *img, dec);
-    v.pinned_image = img;
-    return v;
-  };
-  if (cached(cfg)) return cfg.artifacts->view(wl, make);
-  return std::make_shared<const wcet::ProgramView>(make());
-}
-
-/// The batch's per-workload IPET skeleton store when incremental solving is
-/// on and a batch cache exists; null otherwise (a lone point gains nothing
-/// from building skeletons it will use once).
-std::shared_ptr<const wcet::IpetCache>
-ipet_cache_for(const workloads::WorkloadInfo& wl, const SweepConfig& cfg) {
-  if (cfg.incremental_wcet && cfg.fast_wcet && cached(cfg))
-    return cfg.artifacts->ipet(wl);
-  return nullptr;
+/// The no-assignment (main-memory-only) link: the executable every cache
+/// size simulates and the allocation profile comes from.
+link::Image link_unplaced(const workloads::WorkloadInfo& wl) {
+  return link::link_program(wl.module, {}, {});
 }
 
 void validate_outputs(const workloads::WorkloadInfo& wl, sim::Simulator& s,
@@ -99,18 +35,25 @@ void validate_outputs(const workloads::WorkloadInfo& wl, sim::Simulator& s,
     }
 }
 
-/// Profile-based energy estimate: every profiled access is charged by the
-/// memory class its symbol landed in; stack and anonymous traffic is main
-/// memory; cache configurations charge hits/misses instead of raw accesses.
-double estimate_energy(const link::Image& img, const sim::SimResult& run,
-                       bool cached) {
+/// Simulates `img`, validates its outputs and checks the deadline.
+sim::SimResult simulate_checked(const workloads::WorkloadInfo& wl,
+                                const link::Image& img,
+                                const sim::SimConfig& scfg,
+                                const std::string& what,
+                                const SweepConfig& cfg) {
+  sim::Simulator s(img, scfg);
+  sim::SimResult run = s.run();
+  validate_outputs(wl, s, what);
+  cfg.deadline.check("simulate");
+  return run;
+}
+
+/// Profile-based energy estimate of a scratchpad point: every profiled
+/// access is charged by the memory class its symbol landed in; stack and
+/// anonymous traffic is main memory.
+double spm_energy(const link::Image& img, const sim::SimResult& run) {
   const energy::EnergyModel em;
   double nj = static_cast<double>(run.cycles) * em.cpu_cycle_nj;
-  if (cached) {
-    nj += static_cast<double>(run.cache_hits) * em.cache_hit_nj;
-    nj += static_cast<double>(run.cache_misses) * em.cache_miss_nj;
-    return nj;
-  }
   auto charge = [&](const sim::AccessCounts& c, isa::MemClass cls) {
     nj += static_cast<double>(c.fetch) * em.access_nj(cls, 2);
     for (int w = 0; w < 3; ++w)
@@ -129,129 +72,105 @@ double estimate_energy(const link::Image& img, const sim::SimResult& run,
   return nj;
 }
 
+/// Energy estimate of a cache point: cycles plus cache hits and misses.
+double cache_energy(const sim::SimResult& run) {
+  const energy::EnergyModel em;
+  double nj = static_cast<double>(run.cycles) * em.cpu_cycle_nj;
+  nj += static_cast<double>(run.cache_hits) * em.cache_hit_nj;
+  nj += static_cast<double>(run.cache_misses) * em.cache_miss_nj;
+  return nj;
+}
+
 /// Links `assignment`, simulates the placed image (validating its outputs)
-/// and analyzes it. The image is decoded once, feeding both the simulator's
-/// code table and the analyzer; the analyzer re-binds the workload's cached
-/// layout-invariant shape instead of re-discovering program structure.
+/// and analyzes it. In production the image is decoded once, feeding both
+/// the simulator's code table and the analyzer, which re-binds the
+/// workload's cached layout-invariant shape instead of re-discovering
+/// program structure. Each distinct placement compiles its own block table.
 PlacedResult run_placed(const workloads::WorkloadInfo& wl,
                         const link::LinkOptions& opts,
                         const link::SpmAssignment& assignment,
-                        const std::string& what, const SweepConfig& cfg) {
+                        const std::string& what, const SweepConfig& cfg,
+                        ArtifactCache& artifacts) {
   const link::Image img = link::link_program(wl.module, opts, assignment);
   sim::SimConfig scfg;
   scfg.collect_profile = true;
-  // Each distinct placement links its own image, so the simulator compiles
-  // its own block table (no cross-point artifact to share).
-  scfg.block_tier = cfg.block_tier;
-  std::optional<program::DecodedImage> dec;
-  if (cfg.fast_wcet) {
-    dec.emplace(img);
-    scfg.predecoded = &*dec;
-  }
-  sim::Simulator s(img, scfg);
-  const sim::SimResult run = s.run();
-  validate_outputs(wl, s, what);
-  cfg.deadline.check("simulate");
+  wcet::AnalyzerConfig acfg;
+  sim::SimResult run;
   wcet::WcetReport report;
-  if (cfg.fast_wcet) {
-    wcet::AnalyzerConfig acfg;
-    acfg.incremental = cfg.incremental_wcet;
-    const auto ipet = ipet_cache_for(wl, cfg);
-    acfg.ipet_cache = ipet.get();
-    report = wcet::analyze_wcet(
-        wcet::bind_view(shape_for(wl, cfg, img, *dec), img, *dec), acfg);
-  } else {
-    wcet::AnalyzerConfig acfg;
+  if (cfg.reference) {
+    scfg.fast_path = false;
+    run = simulate_checked(wl, img, scfg, what, cfg);
     acfg.fast_path = false;
     report = wcet::analyze_wcet(img, acfg);
+  } else {
+    const program::DecodedImage dec(img);
+    scfg.predecoded = &dec;
+    run = simulate_checked(wl, img, scfg, what, cfg);
+    const auto ipet = artifacts.ipet(wl);
+    acfg.ipet_cache = ipet.get();
+    const auto shape =
+        artifacts.shape(wl, [&] { return wcet::build_shape(img, dec); });
+    report = wcet::analyze_wcet(wcet::bind_view(shape, img, dec), acfg);
   }
-  return {run.cycles, report.wcet, estimate_energy(img, run, /*cached=*/false)};
+  return {run.cycles, report.wcet, spm_energy(img, run)};
 }
 
 SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
-                         const SweepConfig& cfg) {
+                         const SweepConfig& cfg, ArtifactCache& artifacts) {
   link::LinkOptions opts;
   opts.spm_size = size;
 
   // 1. Allocation: profile-driven energy knapsack (the paper's flow) or
-  //    the WCET-driven greedy ablation.
-  link::SpmAssignment assignment;
-  uint32_t used = 0;
+  //    the WCET-driven greedy ablation. The profile comes from an image
+  //    with nothing assigned to the SPM, so it is independent of the
+  //    capacity under test: production simulates it once per workload, on
+  //    the canonical no-SPM link it shares with the cache branch; the
+  //    reference links and profiles it again for every size.
+  alloc::AllocationResult alloc;
   if (cfg.wcet_driven_alloc) {
-    const auto alloc =
-        alloc::allocate_wcet_driven(wl.module, size, opts, cfg.fast_wcet);
-    assignment = alloc.assignment;
-    used = alloc.used_bytes;
+    alloc = alloc::allocate_wcet_driven(wl.module, size, opts, !cfg.reference);
+  } else if (cfg.reference) {
+    const link::Image profile_img = link::link_program(wl.module, opts, {});
+    sim::SimConfig pcfg;
+    pcfg.collect_profile = true;
+    pcfg.fast_path = false;
+    alloc = alloc::allocate_energy_optimal(
+        wl.module, sim::Simulator(profile_img, pcfg).run().profile, size);
   } else {
-    // The profile comes from an image with nothing assigned to the SPM, so
-    // it is independent of the capacity under test; with a batch cache the
-    // profiling simulation runs once per workload instead of once per size.
-    std::shared_ptr<const sim::AccessProfile> shared_profile;
-    sim::AccessProfile local_profile;
-    const sim::AccessProfile* profile = nullptr;
-    if (cfg.use_artifact_cache && cfg.artifacts != nullptr) {
-      shared_profile = cfg.artifacts->profile(wl, [&] {
-        // Canonical no-SPM link (shared with the cache branch through the
-        // image cache): byte-identical profile to the per-size
-        // no-assignment image the uncached path below produces.
-        const auto profile_img = no_assignment_image(wl, cfg);
-        sim::SimConfig pcfg;
-        pcfg.collect_profile = true;
-        pcfg.block_tier = cfg.block_tier;
-        std::shared_ptr<const program::DecodedImage> pdec;
-        if (cfg.fast_wcet) {
-          pdec = canonical_decoded(wl, cfg, *profile_img);
-          pcfg.predecoded = pdec.get();
-        }
-        // The block table compiles against the canonical no-assignment
-        // image, so like the decode it is one-per-workload for the batch.
-        std::shared_ptr<const sim::BlockTable> pblocks;
-        if (cfg.block_tier) {
-          pblocks = cfg.artifacts->blocks(wl, [&] {
-            const sim::SymbolIndex syms(*profile_img);
-            return pdec ? sim::BlockTable(*pdec, syms, *profile_img)
-                        : sim::BlockTable(*profile_img, syms);
-          });
-          pcfg.compiled_blocks = pblocks.get();
-        }
-        sim::Simulator profiler(*profile_img, pcfg);
-        return profiler.run().profile;
+    const auto profile = artifacts.profile(wl, [&] {
+      const auto img = artifacts.image(wl, [&] { return link_unplaced(wl); });
+      const auto dec = artifacts.decoded(
+          wl, [&] { return program::DecodedImage(*img); });
+      const auto blocks = artifacts.blocks(wl, [&] {
+        return sim::BlockTable(*dec, sim::SymbolIndex(*img), *img);
       });
-      profile = shared_profile.get();
-    } else {
-      const link::Image profile_img = link::link_program(wl.module, opts, {});
       sim::SimConfig pcfg;
       pcfg.collect_profile = true;
-      pcfg.block_tier = cfg.block_tier;
-      sim::Simulator profiler(profile_img, pcfg);
-      local_profile = profiler.run().profile;
-      profile = &local_profile;
-    }
-    const auto alloc =
-        alloc::allocate_energy_optimal(wl.module, *profile, size);
-    assignment = alloc.assignment;
-    used = alloc.used_bytes;
+      pcfg.predecoded = dec.get();
+      pcfg.compiled_blocks = blocks.get();
+      return sim::Simulator(*img, pcfg).run().profile;
+    });
+    alloc = alloc::allocate_energy_optimal(wl.module, *profile, size);
   }
   cfg.deadline.check("allocate");
 
   // 2. Relink with the chosen placement; simulate and analyze. The placed
   //    image depends only on (module, assignment) — the linker reads the
   //    size for its capacity check alone, which an assignment chosen for
-  //    this size always passes — so on the production path every size
-  //    whose allocation repeats an earlier assignment is served that
-  //    point's result. A hit skips output validation too: its image is
-  //    byte-identical to the one already validated. Every other path
-  //    computes each point end to end and stays the byte-diff oracle.
+  //    this size always passes — so production serves every size whose
+  //    allocation repeats an earlier assignment that point's result. A hit
+  //    skips output validation too: its image is byte-identical to the one
+  //    already validated. The reference computes each point end to end.
   const auto compute = [&] {
-    return run_placed(wl, opts, assignment, "spm/" + std::to_string(size),
-                      cfg);
+    return run_placed(wl, opts, alloc.assignment,
+                      "spm/" + std::to_string(size), cfg, artifacts);
   };
   PlacedResult placed;
-  if (cached(cfg) && cfg.fast_wcet && cfg.block_tier && cfg.incremental_wcet) {
-    placed = *cfg.artifacts->placed(wl, assignment, compute);
-    cfg.deadline.check("simulate"); // a hit skips the compute's own check
-  } else {
+  if (cfg.reference) {
     placed = compute();
+  } else {
+    placed = *artifacts.placed(wl, alloc.assignment, compute);
+    cfg.deadline.check("simulate"); // a hit skips the compute's own check
   }
 
   SweepPoint pt;
@@ -260,18 +179,13 @@ SweepPoint run_spm_point(const workloads::WorkloadInfo& wl, uint32_t size,
   pt.wcet_cycles = placed.wcet_cycles;
   pt.ratio = static_cast<double>(placed.wcet_cycles) /
              static_cast<double>(placed.sim_cycles);
-  pt.spm_used_bytes = used;
+  pt.spm_used_bytes = alloc.used_bytes;
   pt.energy_nj = placed.energy_nj;
   return pt;
 }
 
 SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
-                           const SweepConfig& cfg) {
-  // One executable serves all cache sizes (caches are transparent); with a
-  // batch cache the no-assignment link runs once per workload, not per size.
-  const auto shared_img = no_assignment_image(wl, cfg);
-  const link::Image& img = *shared_img;
-
+                           const SweepConfig& cfg, ArtifactCache& artifacts) {
   cache::CacheConfig ccfg;
   ccfg.size_bytes = size;
   ccfg.line_bytes = 16;
@@ -281,33 +195,40 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   sim::SimConfig scfg;
   scfg.cache = ccfg;
   scfg.collect_profile = true;
-  scfg.block_tier = cfg.block_tier; // no effect: the tier is cache-disabled
-  // All sizes share the canonical image, so they also share its decode and
-  // the analyzer's bound front end: CFGs, loops and value analysis run once
-  // per workload, and each size re-runs only cache analysis + timing + IPET.
-  std::shared_ptr<const program::DecodedImage> dec;
-  if (cfg.fast_wcet) {
-    dec = canonical_decoded(wl, cfg, img);
-    scfg.predecoded = dec.get();
-  }
-  sim::Simulator s(img, scfg);
-  const sim::SimResult run = s.run();
-  validate_outputs(wl, s, "cache/" + std::to_string(size));
-  cfg.deadline.check("simulate");
-
   wcet::AnalyzerConfig acfg;
   acfg.cache = ccfg;
   acfg.with_persistence = cfg.with_persistence;
+  const std::string what = "cache/" + std::to_string(size);
+
+  sim::SimResult run;
   wcet::WcetReport report;
-  if (cfg.fast_wcet) {
-    acfg.incremental = cfg.incremental_wcet;
-    const auto ipet = ipet_cache_for(wl, cfg);
-    acfg.ipet_cache = ipet.get();
-    report = wcet::analyze_wcet(*canonical_view(wl, cfg, shared_img, *dec),
-                                acfg);
-  } else {
+  if (cfg.reference) {
+    const link::Image img = link_unplaced(wl);
+    scfg.fast_path = false;
+    run = simulate_checked(wl, img, scfg, what, cfg);
     acfg.fast_path = false;
     report = wcet::analyze_wcet(img, acfg);
+  } else {
+    // One executable serves all cache sizes (caches are transparent), so
+    // the sizes share its link, its decode and the analyzer's bound front
+    // end: CFGs, loops and value analysis run once per workload, and each
+    // size re-runs only cache analysis + timing + IPET. The view pins the
+    // image (and shape) it borrows, so a cached copy outlives the batch.
+    const auto img = artifacts.image(wl, [&] { return link_unplaced(wl); });
+    const auto dec =
+        artifacts.decoded(wl, [&] { return program::DecodedImage(*img); });
+    scfg.predecoded = dec.get();
+    run = simulate_checked(wl, *img, scfg, what, cfg);
+    const auto view = artifacts.view(wl, [&] {
+      const auto shape =
+          artifacts.shape(wl, [&] { return wcet::build_shape(*img, *dec); });
+      wcet::ProgramView v = wcet::bind_view(shape, *img, *dec);
+      v.pinned_image = img;
+      return v;
+    });
+    const auto ipet = artifacts.ipet(wl);
+    acfg.ipet_cache = ipet.get();
+    report = wcet::analyze_wcet(*view, acfg);
   }
 
   SweepPoint pt;
@@ -317,7 +238,7 @@ SweepPoint run_cache_point(const workloads::WorkloadInfo& wl, uint32_t size,
   pt.ratio = static_cast<double>(report.wcet) / static_cast<double>(run.cycles);
   pt.cache_hits = run.cache_hits;
   pt.cache_misses = run.cache_misses;
-  pt.energy_nj = estimate_energy(img, run, /*cached=*/true);
+  pt.energy_nj = cache_energy(run);
   return pt;
 }
 
@@ -333,8 +254,13 @@ SweepPoint execute_point(const workloads::WorkloadInfo& wl, MemSetup setup,
   if (support::fault::fire("engine.compute.throw"))
     throw Error("injected fault: engine.compute.throw");
   cfg.deadline.check("start");
-  return setup == MemSetup::Scratchpad ? run_spm_point(wl, size_bytes, cfg)
-                                       : run_cache_point(wl, size_bytes, cfg);
+  // A point with no batch or session cache still runs the production
+  // pipeline, against a cache of its own.
+  ArtifactCache local;
+  ArtifactCache& artifacts = cfg.artifacts != nullptr ? *cfg.artifacts : local;
+  return setup == MemSetup::Scratchpad
+             ? run_spm_point(wl, size_bytes, cfg, artifacts)
+             : run_cache_point(wl, size_bytes, cfg, artifacts);
 }
 
 } // namespace detail

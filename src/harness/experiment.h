@@ -42,33 +42,19 @@ struct SweepConfig {
   /// Worker threads for run_sweep: 1 = serial, 0 = all hardware threads.
   /// Points are independent pipeline runs; ordering stays deterministic.
   unsigned jobs = 1;
-  /// Reuse size-independent artifacts (the no-assignment access profile)
-  /// across the points of a batch; with fast_wcet, block_tier and
-  /// incremental_wcet also on, each scratchpad placement's ACET, WCET and
-  /// energy are computed once for every size that picks it. false selects
-  /// the seed pipeline that re-derives everything per point; the parity
-  /// tests pin both paths to byte-identical results.
-  bool use_artifact_cache = true;
-  /// IR-based WCET analyzer (shared predecode, layout-invariant shape
-  /// reuse, flat cache analysis). false selects the seed analyzer — the
-  /// --legacy-wcet escape hatch, field-identical by the parity suites.
-  bool fast_wcet = true;
-  /// Superblock translation tier in the simulator (threaded-code blocks
-  /// over the predecoded fast path). false (--no-block-tier) keeps the
-  /// per-instruction fast path — the A/B baseline; results are
-  /// field-identical either way. Only meaningful with the fast simulator;
-  /// cache-branch simulations always interpret (the tier folds uncached
-  /// timing, so it disables itself under a functional cache).
-  bool block_tier = true;
-  /// Incremental IPET (per-workload LP-skeleton cache, batch-scoped) plus
-  /// the flat persistence domain. false (--no-incremental) re-solves every
-  /// point's ILPs from scratch and keeps the PR 5 map-based persistence
-  /// analysis — the A/B baseline; results are field-identical either way.
-  /// Only meaningful with fast_wcet; the skeletons live in `artifacts`.
-  bool incremental_wcet = true;
-  /// Batch-scoped cache injected by SweepRunner::run_matrix when
-  /// use_artifact_cache is set. Null (e.g. a standalone run_point call)
-  /// means every point computes its own artifacts.
+  /// Test oracle only: run the seed pipeline instead of the production one.
+  /// Production shares every size-independent artifact through `artifacts`,
+  /// predecodes, runs the simulator's block tier and the IR analyzer with
+  /// incremental IPET, and computes each scratchpad placement once. The
+  /// reference links every point itself, interprets with the seed
+  /// simulator (sim::SimConfig::fast_path = false), analyzes with the seed
+  /// analyzer (wcet::AnalyzerConfig::fast_path = false) and caches nothing.
+  /// The parity suites pin both to field-identical points.
+  bool reference = false;
+  /// Artifact cache shared across points: batch-scoped when
+  /// SweepRunner::run_matrix injects it, session-scoped from the Engine.
+  /// Null (e.g. a standalone run_point call) gives each point a cache of
+  /// its own. The reference pipeline ignores it.
   ArtifactCache* artifacts = nullptr;
   /// Cooperative wall-time budget: the pipeline checks it at stage
   /// boundaries (allocate/simulate/analyze) and aborts the point with

@@ -23,7 +23,7 @@ struct EvaluationResult {
 
 /// Runs workload × {Scratchpad, Cache} × base.sizes as ONE flat batch on the
 /// persistent pool. base.setup is ignored; every other knob (sizes, cache
-/// shape, ablations, artifact caching) applies to both setups. Result i
+/// shape, ablations, the reference pipeline) applies to both setups. Result i
 /// corresponds to wls[i]. Compatibility shim over
 /// api::Engine::run_evaluation; the render_* functions below are the
 /// result-consuming half of the thin-client split.

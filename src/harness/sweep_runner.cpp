@@ -44,8 +44,7 @@ SweepRunner::run_matrix(const std::vector<MatrixRequest>& requests) const {
   for (const MatrixRequest& req : requests) {
     if (req.workload == nullptr) throw Error("sweep: request has no workload");
     for (SweepJob& job : make_sweep_jobs(*req.workload, req.config)) {
-      if (job.config.use_artifact_cache && job.config.artifacts == nullptr)
-        job.config.artifacts = &artifacts;
+      if (job.config.artifacts == nullptr) job.config.artifacts = &artifacts;
       slots.push_back(std::move(job));
     }
   }

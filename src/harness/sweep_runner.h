@@ -69,11 +69,11 @@ public:
   /// Runs every request's size sweep as ONE flat (workload × setup × size)
   /// batch over the pool, so e.g. a benchmark's scratchpad and cache sweeps
   /// fill the same set of workers instead of running back to back. A
-  /// batch-scoped ArtifactCache is injected into every job that has
-  /// use_artifact_cache set and no cache of its own. Workers claim the
-  /// points size-major (every request at sizes[0] first), but result i
-  /// corresponds to requests[i], points in cfg.sizes order, and a failure
-  /// throws the first failing point in that (request, size) order.
+  /// batch-scoped ArtifactCache is injected into every job that has no
+  /// cache of its own. Workers claim the points size-major (every request
+  /// at sizes[0] first), but result i corresponds to requests[i], points in
+  /// cfg.sizes order, and a failure throws the first failing point in that
+  /// (request, size) order.
   std::vector<std::vector<SweepPoint>>
   run_matrix(const std::vector<MatrixRequest>& requests) const;
 

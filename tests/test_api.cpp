@@ -109,6 +109,10 @@ TEST(ApiRequest, KeysDistinguishOptions) {
   EXPECT_NE(a.value().key(), b.value().key());
   EXPECT_EQ(a.value().key(),
             PointRequest::make("g721", MemSetup::Cache, 512).value().key());
+  // The key bytes are pinned: a response cache keyed by older builds, and
+  // any client that logs keys, sees the same default-option key.
+  EXPECT_EQ(a.value().key(), "point|g721|cache|512|assoc=1|unified");
+  EXPECT_EQ(b.value().key(), "point|g721|cache|512|assoc=1|unified|pers");
 }
 
 // ---- Engine execution parity ----------------------------------------------
@@ -219,23 +223,6 @@ TEST(ApiEngine, IdenticalRequestsServeFromResponseCache) {
   EXPECT_EQ(engine.stats().requests, 2u);
 }
 
-TEST(ApiEngine, NoArtifactCacheRequestsAlwaysReExecute) {
-  // artifact_cache=false asks for the seed re-derive path; a replayed
-  // response would invalidate any warm/cold timing comparison, so these
-  // requests bypass the response cache too.
-  api::Engine engine;
-  ExperimentOptions nocache;
-  nocache.use_artifact_cache = false;
-  const auto request =
-      PointRequest::make("adpcm", MemSetup::Cache, 128, nocache);
-  const auto first = engine.point(request.value());
-  const auto second = engine.point(request.value());
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  expect_points_eq(first.value().point, second.value().point);
-  EXPECT_EQ(engine.stats().response_hits, 0u);
-}
-
 TEST(ApiEngine, ResponseCachingCanBeDisabled) {
   EngineOptions opts;
   opts.cache_responses = false;
@@ -288,7 +275,7 @@ TEST(ApiEngine, SimBenchCoversBaselineAndSpmConfigs) {
   EXPECT_TRUE(baseline_only.value().block_tier);
 }
 
-// ---- wcetbench + the legacy-analyzer escape hatch --------------------------
+// ---- wcetbench ---------------------------------------------------------------
 
 TEST(ApiRequest, WcetBenchRepeatRangeAndKeys) {
   EXPECT_EQ(WcetBenchRequest::make(0).error().code, ErrorCode::OutOfRange);
@@ -306,68 +293,6 @@ TEST(ApiRequest, WcetBenchRepeatRangeAndKeys) {
             "wcetbench|r=3|fast|noincr");
   EXPECT_TRUE(WcetBenchRequest::make(3).value().incremental());
   EXPECT_FALSE(WcetBenchRequest::make(3, false, false).value().incremental());
-}
-
-TEST(ApiRequest, IncrementalOptionKeysSeparately) {
-  ExperimentOptions noincr;
-  noincr.incremental = false;
-  const auto a = PointRequest::make("adpcm", MemSetup::Cache, 512);
-  const auto b = PointRequest::make("adpcm", MemSetup::Cache, 512, noincr);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(a.value().key(), b.value().key());
-  const auto sa = SweepRequest::make({"adpcm"}, MemSetup::Cache);
-  const auto sb = SweepRequest::make({"adpcm"}, MemSetup::Cache, {}, noincr);
-  ASSERT_TRUE(sa.ok());
-  ASSERT_TRUE(sb.ok());
-  EXPECT_NE(sa.value().key(), sb.value().key());
-}
-
-TEST(ApiEngine, NoIncrementalProducesIdenticalPoints) {
-  // The from-scratch baseline must stay field-identical to the incremental
-  // path — it exists purely as the A/B denominator for the speedup claim.
-  api::Engine engine;
-  ExperimentOptions noincr;
-  noincr.incremental = false;
-  noincr.with_persistence = true;
-  ExperimentOptions pers;
-  pers.with_persistence = true;
-  for (const MemSetup setup : {MemSetup::Scratchpad, MemSetup::Cache}) {
-    const auto fast = engine.point(
-        PointRequest::make("multisort", setup, 1024, pers).value());
-    const auto slow = engine.point(
-        PointRequest::make("multisort", setup, 1024, noincr).value());
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(slow.ok());
-    expect_points_eq(fast.value().point, slow.value().point);
-  }
-}
-
-TEST(ApiRequest, LegacyWcetOptionKeysSeparately) {
-  // Identical results, but a --legacy-wcet run must never be served a
-  // replayed fast-path response (A/B timings would lie).
-  ExperimentOptions legacy;
-  legacy.legacy_wcet = true;
-  const auto a = PointRequest::make("adpcm", MemSetup::Scratchpad, 512);
-  const auto b = PointRequest::make("adpcm", MemSetup::Scratchpad, 512, legacy);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(a.value().key(), b.value().key());
-}
-
-TEST(ApiEngine, LegacyWcetProducesIdenticalPoints) {
-  api::Engine engine;
-  ExperimentOptions legacy;
-  legacy.legacy_wcet = true;
-  for (const MemSetup setup : {MemSetup::Scratchpad, MemSetup::Cache}) {
-    const auto fast =
-        engine.point(PointRequest::make("multisort", setup, 1024).value());
-    const auto slow = engine.point(
-        PointRequest::make("multisort", setup, 1024, legacy).value());
-    ASSERT_TRUE(fast.ok());
-    ASSERT_TRUE(slow.ok());
-    expect_points_eq(fast.value().point, slow.value().point);
-  }
 }
 
 TEST(ApiEngine, WcetBenchMeasuresAllSetupsPerWorkload) {
@@ -388,7 +313,7 @@ TEST(ApiEngine, WcetBenchMeasuresAllSetupsPerWorkload) {
     EXPECT_GT(rows[i + 2].analyses_per_second, 0.0);
   }
   EXPECT_GT(result.value().aggregate_aps, 0.0);
-  EXPECT_FALSE(result.value().legacy_wcet);
+  EXPECT_FALSE(result.value().legacy);
   EXPECT_TRUE(result.value().incremental);
 }
 

@@ -181,8 +181,8 @@ TEST(GeneratedWorkload, RegistryMemoizesUnderTheCanonicalName) {
 // shapes, each run through the real pipeline. Per member:
 //   * the block-tier and fast simulators must be field-identical to
 //     --legacy-sim;
-//   * the pipeline point must be field-identical across the default (IR
-//     incremental), --legacy-wcet and --no-incremental analyzers;
+//   * the production pipeline point must be field-identical to the seed
+//     reference pipeline's (harness::SweepConfig::reference);
 //   * the WCET bound must dominate the simulated execution.
 // Every point also validates the member's outputs against the interpreter
 // expectations inside execute_point, so functional correctness rides along.
@@ -225,33 +225,26 @@ TEST(GeneratedPopulation, ParityAndSoundnessAcross100Programs) {
       ASSERT_EQ(fast.instructions, legacy.instructions) << name;
       ASSERT_TRUE(fast.profile == legacy.profile) << name;
 
-      // Pipeline parity across analyzer modes at one SPM capacity.
-      api::ExperimentOptions base;
-      api::ExperimentOptions legacy_wcet = base;
-      legacy_wcet.legacy_wcet = true;
-      api::ExperimentOptions no_incremental = base;
-      no_incremental.incremental = false;
-      harness::SweepPoint pts[3];
-      std::size_t k = 0;
-      for (const api::ExperimentOptions& opts :
-           {base, legacy_wcet, no_incremental}) {
-        const auto req = api::PointRequest::make(
-            name, harness::MemSetup::Scratchpad, 512, opts);
-        ASSERT_TRUE(req.ok()) << name;
-        const auto res = engine.point(req.value());
-        ASSERT_TRUE(res.ok()) << name << ": " << res.error().message;
-        pts[k++] = res.value().point;
-      }
-      for (std::size_t i = 1; i < 3; ++i) {
-        ASSERT_EQ(pts[i].sim_cycles, pts[0].sim_cycles) << name;
-        ASSERT_EQ(pts[i].wcet_cycles, pts[0].wcet_cycles) << name;
-        ASSERT_EQ(pts[i].ratio, pts[0].ratio) << name;
-        ASSERT_EQ(pts[i].spm_used_bytes, pts[0].spm_used_bytes) << name;
-        ASSERT_EQ(pts[i].energy_nj, pts[0].energy_nj) << name;
-      }
+      // Pipeline parity at one SPM capacity: the production Engine point
+      // against the seed reference pipeline.
+      const auto req =
+          api::PointRequest::make(name, harness::MemSetup::Scratchpad, 512);
+      ASSERT_TRUE(req.ok()) << name;
+      const auto res = engine.point(req.value());
+      ASSERT_TRUE(res.ok()) << name << ": " << res.error().message;
+      const harness::SweepPoint& pt = res.value().point;
+      harness::SweepConfig ref_cfg;
+      ref_cfg.reference = true;
+      const harness::SweepPoint ref =
+          harness::run_point(*wl, harness::MemSetup::Scratchpad, 512, ref_cfg);
+      ASSERT_EQ(pt.sim_cycles, ref.sim_cycles) << name;
+      ASSERT_EQ(pt.wcet_cycles, ref.wcet_cycles) << name;
+      ASSERT_EQ(pt.ratio, ref.ratio) << name;
+      ASSERT_EQ(pt.spm_used_bytes, ref.spm_used_bytes) << name;
+      ASSERT_EQ(pt.energy_nj, ref.energy_nj) << name;
 
       // Soundness: the analyzed bound dominates the simulated execution.
-      ASSERT_GE(pts[0].wcet_cycles, pts[0].sim_cycles) << name;
+      ASSERT_GE(pt.wcet_cycles, pt.sim_cycles) << name;
     }
   }
   ASSERT_GE(members, 100);

@@ -3,8 +3,9 @@
 // whose allocation picks the same objects. The memo rests on one property —
 // the placed image is a function of the module and the assignment alone —
 // which the first test checks over a generated population. The second pins
-// the memoized Engine to the uncached end-to-end pipeline and counts its
-// computations against the population's distinct placements.
+// the memoized Engine to the seed reference pipeline, which computes every
+// point end to end, and counts its computations against the population's
+// distinct placements.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,6 +16,7 @@
 #include "alloc/allocator.h"
 #include "api/engine.h"
 #include "api/request.h"
+#include "harness/sweep_runner.h"
 #include "link/layout.h"
 #include "sim/simulator.h"
 #include "workloads/workload.h"
@@ -103,18 +105,31 @@ TEST(PlacedMemo, EqualAssignmentsLinkIdenticalImages) {
   EXPECT_GT(shared, kMembers);
 }
 
-api::CorpusResult corpus(unsigned jobs, bool artifact_cache,
-                         support::MemoStats* placed = nullptr) {
-  api::ExperimentOptions opts;
-  opts.use_artifact_cache = artifact_cache;
-  auto req = api::CorpusRequest::make("mixed", 1, kMembers,
-                                      api::MemSetup::Scratchpad, {}, opts);
-  EXPECT_TRUE(req.ok());
+api::CorpusRequest corpus_request() {
+  return api::CorpusRequest::make("mixed", 1, kMembers,
+                                  api::MemSetup::Scratchpad)
+      .value();
+}
+
+/// The production corpus through the Engine, with its placed-memo counters.
+api::CorpusResult corpus(unsigned jobs, support::MemoStats& placed) {
   api::Engine engine(api::EngineOptions{jobs});
-  auto r = engine.corpus(req.value());
+  auto r = engine.corpus(corpus_request());
   EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().message);
-  if (placed != nullptr) *placed = engine.stats().placed_artifacts;
+  placed = engine.stats().placed_artifacts;
   return r.value();
+}
+
+/// The same corpus on the seed reference pipeline.
+api::CorpusResult reference_corpus() {
+  const api::CorpusRequest req = corpus_request();
+  harness::SweepConfig cfg;
+  cfg.reference = true;
+  std::vector<harness::MatrixRequest> requests;
+  for (const std::string& name : req.workload_names())
+    requests.push_back(
+        {workloads::WorkloadRegistry::instance().benchmark(name).get(), cfg});
+  return api::summarize_corpus(req, harness::run_matrix(requests, 4));
 }
 
 void expect_same_corpus(const api::CorpusResult& a,
@@ -135,7 +150,7 @@ void expect_same_corpus(const api::CorpusResult& a,
   }
 }
 
-TEST(PlacedMemo, CorpusMatchesUncachedPipelineAndComputesEachPlacementOnce) {
+TEST(PlacedMemo, CorpusMatchesReferencePipelineAndComputesEachPlacementOnce) {
   auto& reg = workloads::WorkloadRegistry::instance();
   uint64_t distinct = 0;
   for (uint32_t seed = 1; seed <= kMembers; ++seed) {
@@ -144,11 +159,10 @@ TEST(PlacedMemo, CorpusMatchesUncachedPipelineAndComputesEachPlacementOnce) {
   }
   ASSERT_LT(distinct, kMembers * kPaperSizes.size());
 
-  const api::CorpusResult oracle = corpus(1, /*artifact_cache=*/false);
+  const api::CorpusResult oracle = reference_corpus();
   for (const unsigned jobs : {1u, 2u}) {
     support::MemoStats placed;
-    const api::CorpusResult memo = corpus(jobs, /*artifact_cache=*/true,
-                                          &placed);
+    const api::CorpusResult memo = corpus(jobs, placed);
     const std::string what = "jobs " + std::to_string(jobs);
     expect_same_corpus(memo, oracle, what);
     EXPECT_EQ(placed.misses, distinct) << what;

@@ -1,7 +1,7 @@
 // Parity tests for the parallel sweep engine: a parallel run must produce a
-// report that is byte-identical to the serial path, and the artifact-cached
-// and memoized-registry pipelines must be byte-identical to the uncached
-// seed pipeline, for every paper benchmark, both memory setups, and several
+// report that is byte-identical to the serial path, and the production and
+// memoized-registry pipelines must be byte-identical to the seed reference
+// pipeline, for every paper benchmark, both memory setups, and several
 // pool widths. Reports are compared as strings and points field by field
 // (doubles with exact equality), so any divergence — reordered rows, a
 // different point value, even a formatting change — fails loudly.
@@ -82,26 +82,27 @@ TEST_P(SweepRunnerParity, ParallelReportMatchesSerial) {
   }
 }
 
-TEST_P(SweepRunnerParity, CachedProfileMatchesUncachedSeedPath) {
-  // The artifact-cached pipeline (profile hoisted once per workload) must
-  // reproduce the seed pipeline — which re-ran the profiling simulation for
-  // every SPM size — byte for byte, at every pool width.
+TEST_P(SweepRunnerParity, ProductionMatchesReferencePipeline) {
+  // The production pipeline (profile hoisted once per workload, placements
+  // computed once, fast simulator and analyzer tiers) must reproduce the
+  // seed reference pipeline — which re-links and re-profiles every point —
+  // byte for byte, at every pool width.
   const auto& [bench, setup] = GetParam();
   const workloads::WorkloadInfo wl = make(bench);
   harness::SweepConfig cfg = config_for(setup);
 
-  cfg.use_artifact_cache = false;
+  cfg.reference = true;
   const auto seed = harness::run_sweep_parallel(wl, cfg, 1);
   const std::string seed_report = render(wl, cfg, seed);
 
-  cfg.use_artifact_cache = true;
+  cfg.reference = false;
   for (const unsigned jobs : {1u, 2u, 8u}) {
-    const auto cached = harness::run_sweep_parallel(wl, cfg, jobs);
-    expect_identical_points(seed, cached,
+    const auto production = harness::run_sweep_parallel(wl, cfg, jobs);
+    expect_identical_points(seed, production,
                             bench + std::string("/") +
-                                harness::to_string(setup) + " cached@" +
+                                harness::to_string(setup) + " production@" +
                                 std::to_string(jobs));
-    EXPECT_EQ(seed_report, render(wl, cfg, cached));
+    EXPECT_EQ(seed_report, render(wl, cfg, production));
   }
 }
 

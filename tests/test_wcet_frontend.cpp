@@ -303,7 +303,7 @@ TEST(FlatCacheAnalysis, ClassificationMatchesSeedImplementation) {
 
 // ---- harness pipeline parity (cached shapes/views included) ----------------
 
-TEST(HarnessWcetParity, SweepPointsIdenticalWithLegacyAnalyzer) {
+TEST(HarnessWcetParity, SweepPointsIdenticalWithReferencePipeline) {
   for (const auto setup :
        {harness::MemSetup::Scratchpad, harness::MemSetup::Cache}) {
     for (const auto& wl : workloads::cached_paper_benchmarks()) {
@@ -311,7 +311,7 @@ TEST(HarnessWcetParity, SweepPointsIdenticalWithLegacyAnalyzer) {
       fast_cfg.setup = setup;
       fast_cfg.sizes = {128, 1024};
       harness::SweepConfig legacy_cfg = fast_cfg;
-      legacy_cfg.fast_wcet = false;
+      legacy_cfg.reference = true;
       const auto fast = harness::run_sweep(*wl, fast_cfg);
       const auto legacy = harness::run_sweep(*wl, legacy_cfg);
       ASSERT_EQ(fast.size(), legacy.size());

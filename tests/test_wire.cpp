@@ -110,7 +110,7 @@ TEST(Wire, DecodesSweepAndEvalDefaults) {
             workloads::paper_benchmark_names());
 }
 
-TEST(Wire, DecodesWcetBenchRequestAndLegacyWcetOption) {
+TEST(Wire, DecodesWcetBenchRequestAndLegacyFlag) {
   const auto parsed = api::wire::parse_request(
       R"({"v":1,"id":5,"op":"wcetbench","repeat":3,"legacy":true})");
   ASSERT_TRUE(parsed.ok());
@@ -118,16 +118,10 @@ TEST(Wire, DecodesWcetBenchRequestAndLegacyWcetOption) {
   EXPECT_EQ(req.op, api::wire::Op::WcetBench);
   ASSERT_TRUE(req.wcetbench.has_value());
   EXPECT_EQ(req.wcetbench->repeat(), 3u);
-  EXPECT_TRUE(req.wcetbench->legacy_wcet());
-
-  const auto point = api::wire::parse_request(
-      R"({"v":1,"op":"point","workload":"g721","setup":"spm","size":64,)"
-      R"("options":{"legacy_wcet":true}})");
-  ASSERT_TRUE(point.ok());
-  EXPECT_TRUE(point.value().point->options().legacy_wcet);
+  EXPECT_TRUE(req.wcetbench->legacy());
 }
 
-TEST(Wire, DecodesIncrementalOption) {
+TEST(Wire, DecodesWcetBenchIncrementalFlag) {
   // wcetbench-level flag: defaults on, explicit false selects the
   // from-scratch A/B baseline.
   const auto def = api::wire::parse_request(
@@ -139,13 +133,6 @@ TEST(Wire, DecodesIncrementalOption) {
       R"({"v":1,"op":"wcetbench","repeat":2,"incremental":false})");
   ASSERT_TRUE(noincr.ok());
   EXPECT_FALSE(noincr.value().wcetbench->incremental());
-
-  // Shared options object: reaches experiment requests too.
-  const auto point = api::wire::parse_request(
-      R"({"v":1,"op":"point","workload":"g721","setup":"cache","size":512,)"
-      R"("options":{"incremental":false}})");
-  ASSERT_TRUE(point.ok());
-  EXPECT_FALSE(point.value().point->options().incremental);
 }
 
 TEST(Wire, MalformedRequestsGetTypedErrors) {
@@ -187,6 +174,18 @@ TEST(Wire, MalformedRequestsGetTypedErrors) {
   EXPECT_EQ(code_of(R"({"v":1,"op":"sweep","workload":"g721","setup":"spm",)"
                     R"("options":{"wcet-alloc":true}})"),
             ErrorCode::InvalidArgument);
+  // The pipeline switches that options once carried are unknown keys too:
+  // every request runs the one production pipeline.
+  for (const char* retired :
+       {"artifact_cache", "legacy_wcet", "incremental", "block_tier"}) {
+    const auto parsed = api::wire::parse_request(
+        std::string(R"({"v":1,"op":"point","workload":"g721","setup":"spm",)"
+                    R"("size":64,"options":{")") +
+        retired + R"(":false}})");
+    ASSERT_FALSE(parsed.ok()) << retired;
+    EXPECT_EQ(parsed.error().code, ErrorCode::InvalidArgument) << retired;
+    EXPECT_EQ(parsed.error().context, "options") << retired;
+  }
   EXPECT_EQ(code_of(R"({"v":1,"op":"eval","workloads":[]})"),
             ErrorCode::InvalidArgument);
   EXPECT_EQ(code_of(R"({"v":1,"op":"eval","sizes":[]})"),
@@ -575,9 +574,9 @@ std::vector<std::string> fuzz_corpus() {
       R"({"v":1,"id":2,"op":"point","workload":"bubble","setup":"spm","size":1024})",
       R"({"v":1,"id":3,"op":"point","workload":"g721","setup":"cache","size":512,"render":"text","options":{"assoc":2,"unified":false,"persistence":true}})",
       R"({"v":1,"id":4,"op":"sweep","workloads":["bubble","adpcm"],"setup":"spm","sizes":[64,128],"render":"csv"})",
-      R"({"v":1,"id":5,"op":"eval","workloads":["multisort"],"sizes":[64],"options":{"wcet_alloc":true,"artifact_cache":false}})",
+      R"({"v":1,"id":5,"op":"eval","workloads":["multisort"],"sizes":[64],"options":{"wcet_alloc":true}})",
       R"({"v":1,"id":6,"op":"simbench","repeat":2,"spm":4096})",
-      R"({"v":1,"id":7,"op":"wcetbench","repeat":1,"legacy_wcet":true})",
+      R"({"v":1,"id":7,"op":"wcetbench","repeat":1,"legacy":true})",
       R"({"v":1,"id":8,"op":"wcetbench","repeat":1,"incremental":false})",
       R"({"v":1,"id":9,"op":"point","workload":"gen:loopy:42","setup":"spm","size":64})",
       R"({"v":1,"id":10,"op":"corpus","shape":"tiny","base":1,"count":2,"setup":"spm","sizes":[64]})",

@@ -9,7 +9,7 @@
 //   spmwcet list
 //   spmwcet run <benchmark> [--spm BYTES | --cache BYTES [--assoc N]
 //                            [--icache] [--persistence]]
-//   spmwcet sweep <benchmark>|all [--jobs N] [--csv] [--no-artifact-cache]
+//   spmwcet sweep <benchmark>|all [--jobs N] [--csv]
 //       — with no setup flag: the full both-setup evaluation (every size,
 //         Figure-4/5 ratio tables, Table-2 summary); `all` covers the
 //         whole paper, a benchmark name just that workload.
@@ -50,9 +50,7 @@
 //         workloads on sweep-shaped work (8 sizes per setup, MUST-only and
 //         persistence cache passes), best-of-N; --legacy-wcet measures the
 //         seed analyzer as the baseline, --no-incremental the from-scratch
-//         IPET + map-persistence fast path. The same flags on `run`/`sweep`
-//         select those analyzers inside the pipeline (field-identical
-//         output, slower).
+//         IPET + map-persistence fast path.
 //   spmwcet corpus <shape> [--count N] [--base N] [--spm [BYTES] |
 //                  --cache [BYTES]] [--jobs N] [--csv] [--json FILE]
 //       — generated-workload corpus: runs the seed range
@@ -72,6 +70,9 @@
 // "gen:<shape>:<seed>" (shapes: tiny, mixed, loopy, callheavy, branchy),
 // e.g. `spmwcet run gen:loopy:42 --spm 1024`. Same seed + shape is the
 // same program on every platform.
+//
+// Usage errors (an unknown option, or a bench flag given to a command other
+// than its bench) exit with status 2; failures while running exit with 1.
 #include <unistd.h>
 
 #include <cerrno>
@@ -107,7 +108,7 @@ int usage() {
                " [--assoc N] [--icache] [--persistence]]"
                " [--trace] [--blocks]\n"
             << "  spmwcet sweep <bench>|all [--jobs N] [--csv]"
-               " [--no-artifact-cache]   # both setups + ratio tables\n"
+               "   # both setups + ratio tables\n"
             << "  spmwcet sweep <bench>|all --spm|--cache [--persistence]"
                " [--wcet-alloc] [--csv] [--jobs N]\n"
             << "  spmwcet serve [--jobs N] [--bench [--repeat N]]\n"
@@ -163,9 +164,8 @@ struct Args {
   bool csv = false;
   bool trace = false;
   bool blocks = false;
-  bool no_artifact_cache = false;
   bool legacy_sim = false;
-  bool legacy_wcet = false;
+  bool legacy_analyzer = false;
   bool no_incremental = false;
   bool no_block_tier = false;
   bool bench = false;
@@ -189,10 +189,6 @@ struct Args {
     opts.cache_unified = !icache;
     opts.with_persistence = persistence;
     opts.wcet_driven_alloc = wcet_alloc;
-    opts.use_artifact_cache = !no_artifact_cache;
-    opts.legacy_wcet = legacy_wcet;
-    opts.incremental = !no_incremental;
-    opts.block_tier = !no_block_tier;
     return opts;
   }
   api::EngineOptions engine_options() const {
@@ -203,6 +199,34 @@ struct Args {
     return opts;
   }
 };
+
+/// A command-line mistake: main reports it and exits with status 2.
+struct UsageError : Error {
+  using Error::Error;
+};
+
+/// Flags that select a layer's seed baseline. Each belongs to the bench
+/// that measures that layer; every other command runs the production
+/// pipeline only, so it refuses them rather than ignoring them.
+struct BenchFlag {
+  const char* name;
+  bool Args::*set;
+  const char* command;
+};
+constexpr BenchFlag kBenchFlags[] = {
+    {"--legacy-sim", &Args::legacy_sim, "simbench"},
+    {"--no-block-tier", &Args::no_block_tier, "simbench"},
+    {"--legacy-wcet", &Args::legacy_analyzer, "wcetbench"},
+    {"--no-incremental", &Args::no_incremental, "wcetbench"},
+};
+
+/// Throws UsageError for the first bench flag that `cmd` does not accept.
+void check_bench_flags(const Args& a, const std::string& cmd) {
+  for (const BenchFlag& f : kBenchFlags)
+    if (a.*f.set && cmd != f.command)
+      throw UsageError(std::string(f.name) + " is accepted only by `spmwcet " +
+                       f.command + "`, not by `spmwcet " + cmd + "`");
+}
 
 /// Full-string uint32 parse; rejects overflow instead of wrapping mod 2^32
 /// (a wrapped size would silently bypass the Engine's range validation).
@@ -221,6 +245,9 @@ Args parse(int argc, char** argv) {
   Args a;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const BenchFlag* bench_flag = nullptr;
+    for (const BenchFlag& f : kBenchFlags)
+      if (arg == f.name) bench_flag = &f;
     auto next_u32 = [&]() -> uint32_t {
       if (i + 1 >= argc) throw Error("missing value after " + arg);
       return parse_u32(arg, argv[++i]);
@@ -254,16 +281,8 @@ Args parse(int argc, char** argv) {
       a.csv = true;
     else if (arg == "--jobs")
       a.jobs = next_u32();
-    else if (arg == "--no-artifact-cache")
-      a.no_artifact_cache = true;
-    else if (arg == "--legacy-sim")
-      a.legacy_sim = true;
-    else if (arg == "--legacy-wcet")
-      a.legacy_wcet = true;
-    else if (arg == "--no-incremental")
-      a.no_incremental = true;
-    else if (arg == "--no-block-tier")
-      a.no_block_tier = true;
+    else if (bench_flag != nullptr)
+      a.*bench_flag->set = true;
     else if (arg == "--bench")
       a.bench = true;
     else if (arg == "--repeat")
@@ -301,7 +320,7 @@ Args parse(int argc, char** argv) {
     else if (arg == "--blocks")
       a.blocks = true;
     else if (arg.rfind("--", 0) == 0)
-      throw Error("unknown option: " + arg);
+      throw UsageError("unknown option: " + arg);
     else
       a.positional.push_back(arg);
   }
@@ -408,8 +427,8 @@ int cmd_wcetbench(const Args& a) {
     throw Error("wcetbench always measures the full paper set; unexpected "
                 "argument: " +
                 a.positional[1]);
-  const auto request =
-      api::WcetBenchRequest::make(a.repeat, a.legacy_wcet, !a.no_incremental);
+  const auto request = api::WcetBenchRequest::make(a.repeat, a.legacy_analyzer,
+                                                   !a.no_incremental);
   api::Engine engine(a.engine_options());
   const api::WcetBenchResult result =
       unwrap(engine.wcetbench(unwrap(request)));
@@ -556,6 +575,7 @@ int main(int argc, char** argv) {
     const Args args = parse(argc, argv);
     if (args.positional.empty()) return usage();
     const std::string& cmd = args.positional[0];
+    check_bench_flags(args, cmd);
     if (cmd == "list") return cmd_list();
     if (cmd == "simbench") return cmd_simbench(args);
     if (cmd == "wcetbench") return cmd_wcetbench(args);
@@ -568,6 +588,9 @@ int main(int argc, char** argv) {
     if (cmd == "disasm") return cmd_disasm(args);
     if (cmd == "annotations") return cmd_annotations(args);
     return usage();
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
